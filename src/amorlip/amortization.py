@@ -121,7 +121,6 @@ class PartitionEstimate:
     """Per-sample log partition values over one batch direction."""
 
     log_z_exact: Array
-    log_z_combined: Array | None
     tau_snapshot: float
     includes_positive: bool
 
@@ -155,7 +154,6 @@ def exact_partition(
         log_z = row_logsumexp(scaled) - math.log(n - 1)
     return PartitionEstimate(
         log_z_exact=log_z,
-        log_z_combined=None,
         tau_snapshot=float(tau),
         includes_positive=include_positive,
     )

@@ -52,17 +52,21 @@ def _ranks_of_partners(scores: Array) -> Array:
     return 1 + better + tie_lower
 
 
+def _partner_ranks(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch) -> tuple[Array, Array]:
+    """Partner ranks for a querying b, then b querying a, from one score matrix."""
+    if emb_a.n != emb_b.n or emb_a.dim != emb_b.dim:
+        raise ContractError("embedding batches must share n and dim")
+    scores = emb_a.data @ emb_b.data.T
+    return _ranks_of_partners(scores), _ranks_of_partners(scores.T)
+
+
 def recall_at_k(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, k: int) -> tuple[float, float]:
     """Fraction of queries whose true partner ranks in the top k, for both
     retrieval directions (a queries b, then b queries a)."""
-    if emb_a.n != emb_b.n or emb_a.dim != emb_b.dim:
-        raise ContractError("embedding batches must share n and dim")
+    ranks_ab, ranks_ba = _partner_ranks(emb_a, emb_b)
     if k < 1 or k > emb_a.n:
         raise ConfigError(f"k must lie in [1, {emb_a.n}], got {k}")
-    scores = emb_a.data @ emb_b.data.T
-    r_ab = float(np.mean(_ranks_of_partners(scores) <= k))
-    r_ba = float(np.mean(_ranks_of_partners(scores.T) <= k))
-    return r_ab, r_ba
+    return float(np.mean(ranks_ab <= k)), float(np.mean(ranks_ba <= k))
 
 
 def class_prototypes(emb: EmbeddingBatch, labels: Array, num_classes: int) -> Array:
@@ -122,13 +126,7 @@ def _embed_slice(model, ds_slice: PairedDataset) -> dict[str, EmbeddingBatch]:
     return emb
 
 
-def partition_error(model, ds_slice: PairedDataset) -> tuple[float, float]:
-    """(median, mean) absolute gap between the target amortizer's log
-    predictions and the exact slice-level log partitions, pooled over both
-    modalities. The slice itself serves as the empirical marginal."""
-    if getattr(model, "targets", None) is None:
-        raise ContractError("model has no amortizers; partition error is undefined")
-    emb = _embed_slice(model, ds_slice)
+def _partition_gaps(model, emb: dict[str, EmbeddingBatch]) -> tuple[float, float]:
     tau = model.temperature.tau
     gaps = []
     for m, mp in (("a", "b"), ("b", "a")):
@@ -139,24 +137,34 @@ def partition_error(model, ds_slice: PairedDataset) -> tuple[float, float]:
     return float(np.median(pooled)), float(np.mean(pooled))
 
 
+def partition_error(model, ds_slice: PairedDataset) -> tuple[float, float]:
+    """(median, mean) absolute gap between the target amortizer's log
+    predictions and the exact slice-level log partitions, pooled over both
+    modalities. The slice itself serves as the empirical marginal."""
+    if getattr(model, "targets", None) is None:
+        raise ContractError("model has no amortizers; partition error is undefined")
+    return _partition_gaps(model, _embed_slice(model, ds_slice))
+
+
 def evaluate_model(model, eval_ds: PairedDataset) -> EvalReport:
     """Full evaluation on a held-out slice: retrieval in both directions,
     zero-shot accuracy of modality-a samples against modality-b class
-    prototypes, and amortizer statistics when the model carries amortizers."""
+    prototypes, and amortizer statistics when the model carries amortizers.
+    The slice is embedded once, and the partner ranks are computed once per
+    direction for both recall cut-offs."""
     emb = _embed_slice(model, eval_ds)
-    r1_ab, r1_ba = recall_at_k(emb["a"], emb["b"], 1)
+    ranks_ab, ranks_ba = _partner_ranks(emb["a"], emb["b"])
     k5 = min(5, eval_ds.n)
-    r5_ab, r5_ba = recall_at_k(emb["a"], emb["b"], k5)
     protos = class_prototypes(emb["b"], eval_ds.labels, eval_ds.num_classes)
     acc = zero_shot_accuracy(emb["a"], protos, eval_ds.labels)
     median = mean = None
     if getattr(model, "targets", None) is not None:
-        median, mean = partition_error(model, eval_ds)
+        median, mean = _partition_gaps(model, emb)
     return EvalReport(
-        recall_at_1_ab=r1_ab,
-        recall_at_1_ba=r1_ba,
-        recall_at_5_ab=r5_ab,
-        recall_at_5_ba=r5_ba,
+        recall_at_1_ab=float(np.mean(ranks_ab <= 1)),
+        recall_at_1_ba=float(np.mean(ranks_ba <= 1)),
+        recall_at_5_ab=float(np.mean(ranks_ab <= k5)),
+        recall_at_5_ba=float(np.mean(ranks_ba <= k5)),
         zero_shot_accuracy=acc,
         median_abs_log_z_err=median,
         mean_abs_log_z_err=mean,

@@ -1,5 +1,6 @@
 """Dense float64 numerics: stable reductions, parameter/gradient storage,
-an AdamW optimizer, and the finite-difference gradient oracle.
+an AdamW optimizer over a flat parameter store, and the finite-difference
+gradient oracle.
 
 All verification arithmetic runs in 64-bit. Reductions use numpy's
 deterministic summation, so repeated runs on the same platform with the
@@ -111,6 +112,13 @@ class AdamW:
 
     weight_decay = 0 reproduces plain Adam. Decay is skipped for blocks
     whose names appear in no_decay (biases, temperature, ...).
+
+    The optimizer owns one flat float64 store per quantity (values,
+    gradients, first and second moments). On construction each block's
+    value and grad are rebound to views of that store, and m[name] and
+    v[name] are views of the moment stores, so a step is a handful of
+    vectorized operations over the whole group. Decayed blocks are laid
+    out first, so weight decay touches one leading slice.
     """
 
     def __init__(
@@ -132,27 +140,66 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.no_decay = set(no_decay)
-        self.m = {b.name: np.zeros_like(b.value) for b in self.blocks}
-        self.v = {b.name: np.zeros_like(b.value) for b in self.blocks}
+        names = [b.name for b in self.blocks]
+        if len(set(names)) != len(names):
+            raise ContractError(f"duplicate parameter block names in {names}")
+        decayed = {n for n in names if self.weight_decay != 0.0 and n not in self.no_decay}
+        layout = sorted(self.blocks, key=lambda b: b.name not in decayed)  # decayed first, stable
+        self._n_decay = sum(b.value.size for b in self.blocks if b.name in decayed)
+        total = sum(b.value.size for b in self.blocks)
+        self._value = np.empty(total)
+        self._grad = np.empty(total)
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self._s1 = np.empty(total)
+        self._s2 = np.empty(total)
+        self.m: dict[str, Array] = {}
+        self.v: dict[str, Array] = {}
+        self._grad_views: list[tuple[ParamBlock, Array]] = []
+        off = 0
+        for b in layout:
+            end = off + b.value.size
+            value = self._value[off:end].reshape(b.value.shape)
+            grad = self._grad[off:end].reshape(b.value.shape)
+            value[...] = b.value
+            grad[...] = b.grad
+            b.value, b.grad = value, grad
+            self.m[b.name] = self._m[off:end].reshape(b.value.shape)
+            self.v[b.name] = self._v[off:end].reshape(b.value.shape)
+            self._grad_views.append((b, grad))
+            off = end
         self.t = 0
 
+    def zero_grad(self) -> None:
+        self._grad.fill(0.0)
+
     def step(self) -> None:
+        for b, grad in self._grad_views:
+            if b.grad is not grad:
+                raise ContractError(f"{b.name}: grad was rebound away from the optimizer's store")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for b in self.blocks:
-            m, v = self.m[b.name], self.v[b.name]
-            if b.grad.shape != m.shape:
-                raise ContractError(
-                    f"{b.name}: grad shape {b.grad.shape} != optimizer state shape {m.shape}"
-                )
-            if self.weight_decay != 0.0 and b.name not in self.no_decay:
-                b.value -= self.lr * self.weight_decay * b.value
-            m *= self.beta1
-            m += (1.0 - self.beta1) * b.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (b.grad * b.grad)
-            b.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        value, g, m, v, s1, s2 = self._value, self._grad, self._m, self._v, self._s1, self._s2
+        d = self._n_decay
+        if d:
+            np.multiply(value[:d], self.lr * self.weight_decay, out=s1[:d])
+            value[:d] -= s1[:d]
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - self.beta2
+        v += s1
+        # value -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+        np.divide(m, c1, out=s1)
+        s1 *= self.lr
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        value -= s1
 
 
 def finite_difference_gradient(f: Callable[[Array], float], x, h: float = 1e-6) -> Array:

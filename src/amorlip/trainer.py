@@ -286,6 +286,13 @@ def _check_finite(value: float, what: str, snapshot: dict) -> None:
         raise TrainingDivergence(f"non-finite {what} at step {snapshot.get('step')}", snapshot)
 
 
+def _exact_log_z(emb: dict[str, EmbeddingBatch], tau: float, include_positive: bool):
+    return {
+        m: exact_partition(emb[m], emb[mp], tau, include_positive).log_z_exact
+        for m, mp in (("a", "b"), ("b", "a"))
+    }
+
+
 def _median_log_gap(log_lam: dict[str, Array], log_z: dict[str, Array]) -> float:
     gaps = np.concatenate([np.abs(log_lam[m] - log_z[m]) for m in MODALITIES])
     return float(np.median(gaps))
@@ -338,12 +345,19 @@ def run_amorlip(
     """Amortized two-stage training over the held-in split of ds.
 
     Per epoch the previous target network is frozen, the online and target
-    amortizers are re-initialized, and per batch: exact partitions are
-    blended with the frozen target via the beta schedule; every t_online
-    batches the online amortizers take t_lambda optimizer steps on the
-    chosen objective (one gather); every t_target batches the target EMA
-    advances; every batch the encoders and temperature take one step on
-    the rescaled amortized maximum-likelihood loss.
+    amortizers are re-initialized, and per batch: every t_online batches
+    the exact partitions are blended with the frozen target via the beta
+    schedule and the online amortizers take t_lambda optimizer steps on
+    the chosen objective (one gather); every t_target batches the target
+    EMA advances; every batch the encoders and temperature take one step
+    on the rescaled amortized maximum-likelihood loss.
+
+    The all-pairs bookkeeping runs only where it is used: the exact
+    partitions in both directions on amortization steps and on logged
+    steps, the blend on amortization steps, and the median log-gap
+    diagnostic on logged steps (and on the way out of a divergence, so
+    the snapshot carries it). None of it feeds the stage-II update, so
+    the trajectory does not depend on what is logged.
     """
     cfg.validate()
     if cfg.method != "amorlip":
@@ -376,21 +390,17 @@ def run_amorlip(
             state.global_step += 1
             tau = state.temperature.tau
             emb, caches = _embed(state, train_ds, idx, state.global_step)
-            pe = {
-                "a": exact_partition(emb["a"], emb["b"], tau, cfg.include_positive),
-                "b": exact_partition(emb["b"], emb["a"], tau, cfg.include_positive),
-            }
-            log_zema = {
-                m: combined_target(
-                    pe[m].log_z_exact, state.targets[m].prev_epoch, emb[m], beta_t
-                )
-                for m in MODALITIES
-            }
-            for m in MODALITIES:
-                pe[m].log_z_combined = log_zema[m]
+            amortizing = k % cfg.t_online == 0
+            logged = metrics is not None and _should_log(cfg, state.global_step, total_steps)
+            # exact partitions feed the amortization stage and the logged gap only
+            log_z = _exact_log_z(emb, tau, cfg.include_positive) if amortizing or logged else None
 
             amor_loss_val: float | None = None
-            if k % cfg.t_online == 0:
+            if amortizing:
+                log_zema = {
+                    m: combined_target(log_z[m], state.targets[m].prev_epoch, emb[m], beta_t)
+                    for m in MODALITIES
+                }
                 sims = {"a": None, "b": None}
                 if cfg.objective == "fdiv":
                     s_ab = similarity_matrix(emb["a"], emb["b"])
@@ -402,8 +412,7 @@ def run_amorlip(
                 }
                 for _ in range(cfg.t_lambda):
                     total = 0.0
-                    for m in MODALITIES:
-                        state.online[m].zero_grad()
+                    state.opt_amortizer.zero_grad()
                     for m in MODALITIES:
                         if cfg.objective == "l2log":
                             total += loss_l2log(state.online[m], emb[m], log_zema[m])
@@ -424,7 +433,7 @@ def run_amorlip(
                     ema_update(state.targets[m], state.online[m], cfg.alpha)
 
             log_lam = {m: amortize_forward(state.targets[m].ema, emb[m])[0] for m in MODALITIES}
-            median_err = _median_log_gap(log_lam, {m: pe[m].log_z_exact for m in MODALITIES})
+            median_err = _median_log_gap(log_lam, log_z) if logged else None
             snapshot = {
                 "step": state.global_step,
                 "epoch": t,
@@ -432,18 +441,24 @@ def run_amorlip(
                 "amor_loss": amor_loss_val,
                 "median_abs_log_z_err": median_err,
             }
+
+            def diverged(message: str) -> TrainingDivergence:
+                if snapshot["median_abs_log_z_err"] is None:
+                    exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
+                    snapshot["median_abs_log_z_err"] = _median_log_gap(log_lam, exact)
+                return TrainingDivergence(message, snapshot)
+
             try:
                 raw = amortized_mle_loss(emb["a"], emb["b"], tau, log_lam["a"], log_lam["b"])
             except DomainError as exc:
-                raise TrainingDivergence(str(exc), snapshot) from exc
+                raise diverged(str(exc)) from exc
             rescaled = temperature_rescale(raw, tau, rho)
             snapshot.update(stage2_loss_raw=raw.value, stage2_loss_rescaled=rescaled.value)
-            _check_finite(raw.value, "stage-II loss", snapshot)
-            if amor_loss_val is not None:
-                _check_finite(amor_loss_val, "amortization loss", snapshot)
+            for value, what in ((raw.value, "stage-II loss"), (amor_loss_val, "amortization loss")):
+                if value is not None and not math.isfinite(value):
+                    raise diverged(f"non-finite {what} at step {state.global_step}")
 
-            state.encoders.zero_grad()
-            state.temperature.block.zero_grad()
+            state.opt_encoder.zero_grad()
             encoder_backward(caches["a"], rescaled.grad_a)
             encoder_backward(caches["b"], rescaled.grad_b)
             state.temperature.accumulate_tau_grad(rescaled.tau_grad)
@@ -451,7 +466,7 @@ def run_amorlip(
             state.temperature.clamp()
             state.step_in_epoch = k
 
-            if metrics is not None and _should_log(cfg, state.global_step, total_steps):
+            if logged:
                 metrics.emit(
                     _record(
                         state,
@@ -516,8 +531,7 @@ def run_clip_baseline(
             }
             _check_finite(raw.value, "NCE loss", snapshot)
 
-            state.encoders.zero_grad()
-            state.temperature.block.zero_grad()
+            state.opt_encoder.zero_grad()
             encoder_backward(caches["a"], rescaled.grad_a)
             encoder_backward(caches["b"], rescaled.grad_b)
             state.temperature.accumulate_tau_grad(rescaled.tau_grad)
@@ -837,8 +851,7 @@ def amortizer_fidelity_experiment(
                     online[m].net.biases[-1].value[0, 0] = float(np.mean(targets[m][idx]))
             opt.lr = amortizer_lr * 0.5 * (1.0 + math.cos(math.pi * done / total_steps))
             loss = 0.0
-            for m in MODALITIES:
-                online[m].zero_grad()
+            opt.zero_grad()
             for m in MODALITIES:
                 view = EmbeddingBatch(emb[m].data[idx], m)
                 loss += loss_l2log(online[m], view, targets[m][idx])

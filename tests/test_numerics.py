@@ -144,6 +144,65 @@ class TestAdamW:
         first, second = run(), run()
         assert np.array_equal(first, second)
 
+    def test_flat_store_matches_per_block_reference_bitwise(self):
+        rng = seeded_rng(7)
+        shapes = {"w0": (5, 3), "b0": (1, 3), "w1": (3, 4), "b1": (1, 4), "s": (1, 1)}
+        no_decay = {"b0", "b1", "s"}
+        hyper = dict(lr=0.05, beta1=0.85, beta2=0.995, eps=1e-7, weight_decay=0.05)
+        # small values against large steps, so a last-bit change in an
+        # update is not rounded away when it lands on the value
+        init = {n: 1e-3 * rng.standard_normal(shape) for n, shape in shapes.items()}
+        grads = [{n: rng.standard_normal(shape) for n, shape in shapes.items()} for _ in range(25)]
+
+        # the reference: one update per block, in the per-element order the
+        # optimizer promises to keep
+        ref = {n: v.copy() for n, v in init.items()}
+        ref_m = {n: np.zeros(shape) for n, shape in shapes.items()}
+        ref_v = {n: np.zeros(shape) for n, shape in shapes.items()}
+        lr, b1, b2, eps, wd = (hyper[k] for k in ("lr", "beta1", "beta2", "eps", "weight_decay"))
+        for t, step_grads in enumerate(grads, start=1):
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for n in shapes:
+                g, m, v = step_grads[n], ref_m[n], ref_v[n]
+                if n not in no_decay:
+                    ref[n] -= lr * wd * ref[n]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                ref[n] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+        blocks = [ParamBlock(n, init[n]) for n in shapes]
+        opt = AdamW(blocks, no_decay=no_decay, **hyper)
+        for step_grads in grads:
+            opt.zero_grad()
+            for b in blocks:
+                b.grad += step_grads[b.name]
+            opt.step()
+        for b in blocks:
+            assert np.array_equal(b.value, ref[b.name]), b.name
+            assert np.array_equal(opt.m[b.name], ref_m[b.name]), b.name
+            assert np.array_equal(opt.v[b.name], ref_v[b.name]), b.name
+
+    def test_blocks_and_moments_alias_the_flat_store(self):
+        blocks = [ParamBlock("w", np.ones((2, 3))), ParamBlock("b", np.zeros((1, 3)))]
+        opt = AdamW(blocks, lr=0.1, weight_decay=0.1, no_decay={"b"})
+        for b in blocks:
+            assert np.shares_memory(b.value, opt._value)
+            assert np.shares_memory(b.grad, opt._grad)
+            assert np.shares_memory(opt.m[b.name], opt._m)
+            assert np.shares_memory(opt.v[b.name], opt._v)
+        blocks[0].grad += 1.0
+        blocks[1].grad += 2.0
+        opt.step()
+        assert np.all(opt.m["w"] != 0.0) and np.all(opt.v["b"] != 0.0)
+        opt.zero_grad()
+        assert not np.any(blocks[0].grad) and not np.any(blocks[1].grad)
+
+    def test_duplicate_block_names_rejected(self):
+        with pytest.raises(ContractError):
+            AdamW([ParamBlock("w", np.ones((1, 1))), ParamBlock("w", np.ones((1, 1)))], lr=0.1)
+
     def test_state_shape_mismatch_rejected(self):
         blk = ParamBlock("w", np.ones((2, 2)))
         opt = AdamW([blk], lr=0.1)

@@ -203,6 +203,10 @@ class TestTrainingRuns:
         with pytest.raises(TrainingDivergence) as err:
             run_amorlip(cfg, ds, start_state=state)
         assert "step" in err.value.snapshot and "tau" in err.value.snapshot
+        # the step is neither logged nor an amortization step, so the gap
+        # is computed on the way out; the amortizer sits ~800 below log Z
+        gap = err.value.snapshot["median_abs_log_z_err"]
+        assert math.isfinite(gap) and gap > 700.0
 
     def test_epoch_rotation_freezes_previous_target(self):
         ds = small_ds(200)
@@ -224,6 +228,49 @@ class TestTrainingRuns:
             trainer_mod._rotate_and_reinit = real
         for pre, post in zip(recorded["pre"], recorded["post"]):
             assert np.array_equal(pre, post)
+
+
+class TestObservation:
+    """What is logged must not change what is trained."""
+
+    @pytest.mark.parametrize("objective", ["l2log", "fdiv"])
+    @pytest.mark.parametrize("t_online", [1, 2, 8, 32])
+    def test_checkpoint_independent_of_logging(self, tmp_path, objective, t_online):
+        ds = small_ds(600)  # 33 steps per epoch at batch 16
+        blobs = []
+        for log_every in (None, 10, 1):
+            cfg = small_cfg(objective=objective, t_online=t_online, log_every=log_every or 10)
+            state = run_amorlip(cfg, ds, MetricsWriter() if log_every else None)
+            path = tmp_path / f"{log_every}.ckpt"
+            checkpoint_save(state, path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("with_metrics", [True, False])
+    def test_bookkeeping_runs_on_amortization_and_logged_steps(self, monkeypatch, with_metrics):
+        counts = {"exact_partition": 0, "combined_target": 0}
+        for name in counts:
+            real = getattr(trainer_mod, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(trainer_mod, name, counting)
+        ds = small_ds(600)
+        cfg = small_cfg(epochs=2, t_online=8, log_every=10)
+        run_amorlip(cfg, ds, MetricsWriter() if with_metrics else None)
+
+        per_epoch = 540 // cfg.batch_size
+        total = per_epoch * cfg.epochs
+        steps = range(1, total + 1)
+        amortizing = {g for g in steps if ((g - 1) % per_epoch + 1) % cfg.t_online == 0}
+        logged = {g for g in steps if g in (1, total) or g % cfg.log_every == 0}
+        if not with_metrics:
+            logged = set()
+        assert len(amortizing) == 2 * (per_epoch // cfg.t_online)
+        assert counts["exact_partition"] == 2 * len(amortizing | logged)
+        assert counts["combined_target"] == 2 * len(amortizing)
 
 
 class TestCheckpoints:
