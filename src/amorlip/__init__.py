@@ -20,12 +20,10 @@ from .amortization import (
     exact_partition,
     fdiv_weights,
     init_amortizer,
-    loss_fdiv,
     loss_l2log,
 )
 from .data import (
     PairedDataset,
-    batch_iterator,
     generate_synthetic,
     load_dataset,
     save_dataset,

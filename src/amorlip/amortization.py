@@ -21,8 +21,6 @@ from .errors import ContractError, DegenerateInputError, DomainError
 from .net import Mlp
 from .numerics import Array, ParamBlock, row_logsumexp
 
-AMORTIZER_SEED_SALT = 2001
-
 
 # ---------------------------------------------------------------------------
 # amortizer networks
@@ -34,18 +32,12 @@ class AmortizerParams:
 
     net: Mlp
     modality: str
-    dim_factor: float
 
     def blocks(self) -> list[ParamBlock]:
         return self.net.blocks()
 
     def zero_grad(self) -> None:
         self.net.zero_grad()
-
-    def copy(self) -> "AmortizerParams":
-        return AmortizerParams(
-            net=self.net.copy(), modality=self.modality, dim_factor=self.dim_factor
-        )
 
 
 @dataclass
@@ -55,7 +47,6 @@ class TargetAmortizer:
 
     ema: AmortizerParams
     prev_epoch: AmortizerParams
-    alpha: float
 
 
 def amortizer_hidden_dim(embed_dim: int, dim_factor: float) -> int:
@@ -69,7 +60,7 @@ def init_amortizer(
         raise ContractError(f"invalid amortizer sizes: d={embed_dim}, factor={dim_factor}")
     h = amortizer_hidden_dim(embed_dim, dim_factor)
     net = Mlp([embed_dim, h, h, 1], f"amortizer_{modality}", seed_key=seed_key)
-    return AmortizerParams(net=net, modality=modality, dim_factor=float(dim_factor))
+    return AmortizerParams(net=net, modality=modality)
 
 
 @dataclass
@@ -121,8 +112,6 @@ class PartitionEstimate:
     """Per-sample log partition values over one batch direction."""
 
     log_z_exact: Array
-    tau_snapshot: float
-    includes_positive: bool
 
 
 def exact_partition(
@@ -152,11 +141,7 @@ def exact_partition(
             raise DegenerateInputError("cannot exclude the positive from a one-sample batch")
         np.fill_diagonal(scaled, -np.inf)
         log_z = row_logsumexp(scaled) - math.log(n - 1)
-    return PartitionEstimate(
-        log_z_exact=log_z,
-        tau_snapshot=float(tau),
-        includes_positive=include_positive,
-    )
+    return PartitionEstimate(log_z_exact=log_z)
 
 
 def beta_schedule(t: float, total: int, beta_final: float) -> float:
@@ -317,25 +302,6 @@ def loss_fdiv_values(
     loss = float(np.dot(row_w, gen.f(r)))
     grad = -row_w * gen.f_prime(r) * r
     return loss, grad
-
-
-def loss_fdiv(
-    theta: AmortizerParams,
-    emb_l: EmbeddingBatch,
-    tau: float,
-    log_z_target: Array,
-    gen: DivergenceGenerator,
-    weights: Array,
-) -> float:
-    """Divergence amortization loss; gradients flow only to theta.
-
-    Embeddings, tau, the targets, and the weight matrix are all constants
-    here; the amortization stage never updates the encoders.
-    """
-    log_lam, cache = amortize_forward(theta, emb_l)
-    loss, grad = loss_fdiv_values(log_lam, log_z_target, gen, weights)
-    amortize_backward(cache, grad)
-    return loss
 
 
 def loss_l2log_values(log_lambda: Array, log_z_target: Array) -> tuple[float, Array]:

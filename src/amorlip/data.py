@@ -4,7 +4,7 @@ deterministic batch iteration.
 APDS1 layout (little-endian): magic b"APDS1\\n", u32 fields n, dim_a,
 dim_b, num_classes, then n * dim_a float32 (modality a, row-major),
 n * dim_b float32 (modality b), n u32 labels. Total size is exactly
-6 + 16 + 4 n (dim_a + dim_b) + 4 n bytes.
+6 + 16 + 4 n (dim_a + dim_b) + 4 n bytes. Every feature must be finite.
 """
 
 from __future__ import annotations
@@ -149,10 +149,13 @@ def load_dataset(path) -> PairedDataset:
         )
     if len(blob) > expected:
         raise FormatError("trailing bytes after payload", offset=expected)
-    mod_a = np.frombuffer(blob, dtype="<f4", count=n * dim_a, offset=off).reshape(n, dim_a)
-    off += 4 * n * dim_a
-    mod_b = np.frombuffer(blob, dtype="<f4", count=n * dim_b, offset=off).reshape(n, dim_b)
-    off += 4 * n * dim_b
+    features = np.frombuffer(blob, dtype="<f4", count=n * (dim_a + dim_b), offset=off)
+    bad = np.flatnonzero(~np.isfinite(features))
+    if bad.size:
+        raise FormatError("non-finite feature value", offset=off + 4 * int(bad[0]))
+    mod_a = features[: n * dim_a].reshape(n, dim_a)
+    mod_b = features[n * dim_a :].reshape(n, dim_b)
+    off += 4 * n * (dim_a + dim_b)
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=off)
     bad = np.nonzero(labels >= num_classes)[0]
     if bad.size:
@@ -172,7 +175,6 @@ class BatchPlan:
     epoch: int
     batch_size: int
     permutation: Array
-    drop_last: bool = True
 
     @property
     def n_batches(self) -> int:
@@ -190,11 +192,6 @@ def make_batch_plan(n: int, batch_size: int, seed: int, epoch: int) -> BatchPlan
         raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
     perm = seeded_rng(seed, BATCH_SEED_SALT, epoch).permutation(n)
     return BatchPlan(epoch=epoch, batch_size=batch_size, permutation=perm)
-
-
-def batch_iterator(ds: PairedDataset, batch_size: int, seed: int, epoch: int) -> Iterator[Array]:
-    """Disjoint index batches from a seeded shuffle keyed by (seed, epoch)."""
-    return make_batch_plan(ds.n, batch_size, seed, epoch).batches()
 
 
 def split_eval(ds: PairedDataset, eval_fraction: float, seed: int):

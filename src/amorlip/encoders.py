@@ -51,11 +51,10 @@ class Temperature:
 
 @dataclass
 class EmbeddingBatch:
-    """A batch of unit-norm rows for one modality, tagged with provenance."""
+    """A batch of unit-norm rows for one modality."""
 
     data: Array
     modality: str
-    step: int = -1
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -125,7 +124,7 @@ class EncodeCache:
     out_shape: tuple[int, int]
 
 
-def encode(params: EncoderParams, inputs, modality: str, step: int = -1):
+def encode(params: EncoderParams, inputs, modality: str):
     """Map raw inputs to unit-norm embeddings. Returns (EmbeddingBatch, cache).
 
     Pure function of (params, inputs): repeated calls agree bitwise.
@@ -143,7 +142,7 @@ def encode(params: EncoderParams, inputs, modality: str, step: int = -1):
     cache = EncodeCache(
         modality=modality, net=net, acts=acts, norm_backward=norm_backward, out_shape=emb.shape
     )
-    return EmbeddingBatch(data=emb, modality=modality, step=step), cache
+    return EmbeddingBatch(data=emb, modality=modality), cache
 
 
 def encoder_backward(cache: EncodeCache, upstream) -> Array:

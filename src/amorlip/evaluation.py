@@ -128,13 +128,11 @@ def _embed_slice(model, ds_slice: PairedDataset) -> dict[str, EmbeddingBatch]:
 
 def _partition_gaps(model, emb: dict[str, EmbeddingBatch]) -> tuple[float, float]:
     tau = model.temperature.tau
-    gaps = []
+    log_lam, log_z = [], []
     for m, mp in (("a", "b"), ("b", "a")):
-        pe = exact_partition(emb[m], emb[mp], tau, include_positive=True)
-        log_lam, _ = amortize_forward(_target_net(model, m), emb[m])
-        gaps.append(np.abs(log_lam - pe.log_z_exact))
-    pooled = np.concatenate(gaps)
-    return float(np.median(pooled)), float(np.mean(pooled))
+        log_z.append(exact_partition(emb[m], emb[mp], tau, include_positive=True).log_z_exact)
+        log_lam.append(amortize_forward(_target_net(model, m), emb[m])[0])
+    return partition_gap_stats(np.concatenate(log_lam), np.concatenate(log_z))
 
 
 def partition_error(model, ds_slice: PairedDataset) -> tuple[float, float]:

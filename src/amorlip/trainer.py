@@ -1,6 +1,6 @@
-"""The two-stage training loop (amortization, then representation learning),
-the NCE/CLIP baseline trainer, gather-invocation accounting, JSONL metrics,
-and the AMCK1 checkpoint format.
+"""One training loop for both methods (the two-stage amortized method and
+the NCE/CLIP baseline), gather-invocation accounting, JSONL metrics, and the
+AMCK1 checkpoint format.
 
 Single-process execution; distributed gathers are modeled by a counter:
 the baseline gathers every step, the amortized trainer only when the
@@ -48,6 +48,7 @@ from .encoders import (
     similarity_matrix,
 )
 from .errors import ConfigError, ContractError, DomainError, FormatError, TrainingDivergence
+from .evaluation import partition_error, partition_gap_stats
 from .losses import RhoSchedule, amortized_mle_loss, nce_loss, rho_at, temperature_rescale
 from .net import Mlp
 from .numerics import AdamW, Array
@@ -133,10 +134,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(values) - known)
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(values) - set(fields))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in values.items():
+            # each default has its field's type; nothing is coerced, a float
+            # field takes ints, and only a bool field takes bools
+            kind = type(fields[name].default)
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+                raise ConfigError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -199,9 +207,7 @@ class MetricsWriter:
 
 
 def _copy_amortizer(src: AmortizerParams, net_name: str) -> AmortizerParams:
-    return AmortizerParams(
-        net=src.net.copy(name=net_name), modality=src.modality, dim_factor=src.dim_factor
-    )
+    return AmortizerParams(net=src.net.copy(name=net_name), modality=src.modality)
 
 
 def init_train_state(cfg: TrainConfig, ds: PairedDataset) -> TrainState:
@@ -235,7 +241,6 @@ def init_train_state(cfg: TrainConfig, ds: PairedDataset) -> TrainState:
             targets[m] = TargetAmortizer(
                 ema=_copy_amortizer(onl, f"target_{m}"),
                 prev_epoch=_copy_amortizer(onl, f"prev_{m}"),
-                alpha=cfg.alpha,
             )
         opt_amortizer = _fresh_amortizer_optimizer(cfg, online)
     return TrainState(
@@ -272,18 +277,13 @@ def _rotate_and_reinit(state: TrainState, epoch: int) -> None:
     state.opt_amortizer = _fresh_amortizer_optimizer(cfg, state.online)
 
 
-def _embed(state: TrainState, ds: PairedDataset, idx: Array, step: int):
+def _embed(state: TrainState, ds: PairedDataset, idx: Array):
     emb = {}
     caches = {}
     batches = {"a": ds.mod_a[idx], "b": ds.mod_b[idx]}
     for m in MODALITIES:
-        emb[m], caches[m] = encode(state.encoders, batches[m].astype(np.float64), m, step=step)
+        emb[m], caches[m] = encode(state.encoders, batches[m].astype(np.float64), m)
     return emb, caches
-
-
-def _check_finite(value: float, what: str, snapshot: dict) -> None:
-    if not math.isfinite(value):
-        raise TrainingDivergence(f"non-finite {what} at step {snapshot.get('step')}", snapshot)
 
 
 def _exact_log_z(emb: dict[str, EmbeddingBatch], tau: float, include_positive: bool):
@@ -293,38 +293,51 @@ def _exact_log_z(emb: dict[str, EmbeddingBatch], tau: float, include_positive: b
     }
 
 
-def _median_log_gap(log_lam: dict[str, Array], log_z: dict[str, Array]) -> float:
-    gaps = np.concatenate([np.abs(log_lam[m] - log_z[m]) for m in MODALITIES])
-    return float(np.median(gaps))
+def _median_abs_gap(log_lam: dict[str, Array], log_z: dict[str, Array]) -> float:
+    pooled = [np.concatenate([values[m] for m in MODALITIES]) for values in (log_lam, log_z)]
+    return partition_gap_stats(*pooled)[0]
 
 
-def _record(
+def _amortization_stage(
     state: TrainState,
-    *,
-    stage2_raw: float,
-    stage2_rescaled: float,
-    amor_loss: float | None,
+    emb: dict[str, EmbeddingBatch],
+    log_z: dict[str, Array],
     tau: float,
-    beta_t: float | None,
-    rho: float,
-    median_err: float | None,
-    wall_start: float,
-) -> dict:
-    # tau is the value the step's losses used (pre-update), so every field
-    # except wall_ms is a pure function of the step
-    return {
-        "step": state.global_step,
-        "epoch": state.epoch,
-        "stage2_loss_raw": stage2_raw,
-        "stage2_loss_rescaled": stage2_rescaled,
-        "amor_loss": amor_loss,
-        "tau": tau,
-        "beta_t": beta_t,
-        "rho": rho,
-        "median_abs_log_z_err": median_err,
-        "gather_count": state.gather_count,
-        "wall_ms": int((time.perf_counter() - wall_start) * 1000.0),
+    beta_t: float,
+) -> float:
+    """Stage I: blend the exact partitions with the frozen previous-epoch
+    prediction via beta_t, then take t_lambda optimizer steps of the online
+    amortizers on the configured objective. Returns the last step's loss."""
+    cfg = state.config
+    gen = GENERATORS[cfg.generator]
+    log_zema = {
+        m: combined_target(log_z[m], state.targets[m].prev_epoch, emb[m], beta_t)
+        for m in MODALITIES
     }
+    weights = {}
+    if cfg.objective == "fdiv":
+        s_ab = similarity_matrix(emb["a"], emb["b"])
+        weights = {
+            "a": fdiv_weights(s_ab, tau, log_zema["a"]),
+            "b": fdiv_weights(s_ab.T, tau, log_zema["b"]),
+        }
+    for _ in range(cfg.t_lambda):
+        total = 0.0
+        state.opt_amortizer.zero_grad()
+        for m in MODALITIES:
+            if cfg.objective == "l2log":
+                total += loss_l2log(state.online[m], emb[m], log_zema[m])
+            else:
+                log_lam, cache = amortize_forward(state.online[m], emb[m])
+                val, grad = loss_fdiv_values(log_lam, log_zema[m], gen, weights[m])
+                if cfg.fdiv_l2log_coef > 0.0:
+                    val_l2, grad_l2 = loss_l2log_values(log_lam, log_zema[m])
+                    val += cfg.fdiv_l2log_coef * val_l2
+                    grad = grad + cfg.fdiv_l2log_coef * grad_l2
+                amortize_backward(cache, grad)
+                total += val
+        state.opt_amortizer.step()
+    return total
 
 
 def _should_log(cfg: TrainConfig, global_step: int, total_steps: int) -> bool:
@@ -335,33 +348,37 @@ def _should_log(cfg: TrainConfig, global_step: int, total_steps: int) -> bool:
     )
 
 
-def run_amorlip(
+def run_training(
     cfg: TrainConfig,
     ds: PairedDataset,
     metrics: MetricsWriter | None = None,
     start_state: TrainState | None = None,
     max_steps: int | None = None,
 ) -> TrainState:
-    """Amortized two-stage training over the held-in split of ds.
+    """Train cfg.method over the held-in split of ds.
 
-    Per epoch the previous target network is frozen, the online and target
-    amortizers are re-initialized, and per batch: every t_online batches
-    the exact partitions are blended with the frozen target via the beta
-    schedule and the online amortizers take t_lambda optimizer steps on
-    the chosen objective (one gather); every t_target batches the target
-    EMA advances; every batch the encoders and temperature take one step
-    on the rescaled amortized maximum-likelihood loss.
+    Both methods share every step's scaffolding: the seeded batch plan per
+    epoch, resumption from start_state's counters, max_steps, the encoder
+    and temperature update on the temperature-rescaled stage-II loss, the
+    divergence checks and the metrics record. They differ in the stage-II
+    loss only:
 
-    The all-pairs bookkeeping runs only where it is used: the exact
-    partitions in both directions on amortization steps and on logged
-    steps, the blend on amortization steps, and the median log-gap
-    diagnostic on logged steps (and on the way out of a divergence, so
-    the snapshot carries it). None of it feeds the stage-II update, so
+    - "clip": the in-batch NCE loss, with a gather on every step.
+    - "amorlip": per epoch the previous target network is frozen and the
+      online and target amortizers are re-initialized; every t_online
+      batches the amortization stage runs (one gather); every t_target
+      batches the target EMA advances; the stage-II loss is the amortized
+      maximum-likelihood loss against the target amortizers.
+
+    The all-pairs bookkeeping of the amortized method runs only where it is
+    used: the exact partitions in both directions on amortization steps and
+    on logged steps, the blend on amortization steps, and the median
+    log-gap diagnostic on logged steps (and on the way out of a divergence,
+    so the snapshot carries it). None of it feeds the stage-II update, so
     the trajectory does not depend on what is logged.
     """
     cfg.validate()
-    if cfg.method != "amorlip":
-        raise ConfigError(f"run_amorlip requires method='amorlip', got {cfg.method!r}")
+    amortized = cfg.method == "amorlip"
     train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
     if train_ds.n < cfg.batch_size:
         raise ConfigError("training split smaller than one batch")
@@ -369,17 +386,25 @@ def run_amorlip(
     steps_per_epoch = train_ds.n // cfg.batch_size
     total_steps = steps_per_epoch * cfg.epochs
     sched = cfg.rho_schedule()
-    gen = GENERATORS[cfg.generator]
     wall_start = time.perf_counter()
+
+    def diverged(message: str) -> TrainingDivergence:
+        # reads the failing step's locals; an unlogged amortized step
+        # computes the gap here, so the snapshot always carries it
+        if amortized and snapshot["median_abs_log_z_err"] is None:
+            exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
+            snapshot["median_abs_log_z_err"] = _median_abs_gap(log_lam, exact)
+        return TrainingDivergence(message, snapshot)
 
     for t in range(max(state.epoch, 1), cfg.epochs + 1):
         resuming_mid = t == state.epoch and state.step_in_epoch > 0
         if not resuming_mid:
-            _rotate_and_reinit(state, t)
+            if amortized:
+                _rotate_and_reinit(state, t)
             state.epoch = t
             state.step_in_epoch = 0
         skip = state.step_in_epoch
-        beta_t = beta_schedule(t, cfg.epochs, cfg.beta_final)
+        beta_t = beta_schedule(t, cfg.epochs, cfg.beta_final) if amortized else None
         rho = rho_at(t, cfg.epochs, sched)
         plan = make_batch_plan(train_ds.n, cfg.batch_size, cfg.seed, t)
         for k, idx in enumerate(plan.batches(), start=1):
@@ -389,72 +414,35 @@ def run_amorlip(
                 return state
             state.global_step += 1
             tau = state.temperature.tau
-            emb, caches = _embed(state, train_ds, idx, state.global_step)
-            amortizing = k % cfg.t_online == 0
+            emb, caches = _embed(state, train_ds, idx)
             logged = metrics is not None and _should_log(cfg, state.global_step, total_steps)
-            # exact partitions feed the amortization stage and the logged gap only
-            log_z = _exact_log_z(emb, tau, cfg.include_positive) if amortizing or logged else None
-
-            amor_loss_val: float | None = None
-            if amortizing:
-                log_zema = {
-                    m: combined_target(log_z[m], state.targets[m].prev_epoch, emb[m], beta_t)
-                    for m in MODALITIES
-                }
-                sims = {"a": None, "b": None}
-                if cfg.objective == "fdiv":
-                    s_ab = similarity_matrix(emb["a"], emb["b"])
-                    sims = {"a": s_ab, "b": s_ab.T}
-                weights = {
-                    m: fdiv_weights(sims[m], tau, log_zema[m])
-                    for m in MODALITIES
-                    if sims[m] is not None
-                }
-                for _ in range(cfg.t_lambda):
-                    total = 0.0
-                    state.opt_amortizer.zero_grad()
+            snapshot = {"step": state.global_step, "epoch": t, "tau": tau}
+            amor_loss = median_err = None
+            if amortized:
+                amortizing = k % cfg.t_online == 0
+                # exact partitions feed the amortization stage and the logged gap only
+                log_z = None
+                if amortizing or logged:
+                    log_z = _exact_log_z(emb, tau, cfg.include_positive)
+                if amortizing:
+                    amor_loss = _amortization_stage(state, emb, log_z, tau, beta_t)
+                    state.gather_count += 1
+                if k % cfg.t_target == 0:
                     for m in MODALITIES:
-                        if cfg.objective == "l2log":
-                            total += loss_l2log(state.online[m], emb[m], log_zema[m])
-                        else:
-                            log_lam, cache = amortize_forward(state.online[m], emb[m])
-                            val, grad = loss_fdiv_values(log_lam, log_zema[m], gen, weights[m])
-                            if cfg.fdiv_l2log_coef > 0.0:
-                                val_l2, grad_l2 = loss_l2log_values(log_lam, log_zema[m])
-                                val += cfg.fdiv_l2log_coef * val_l2
-                                grad = grad + cfg.fdiv_l2log_coef * grad_l2
-                            amortize_backward(cache, grad)
-                            total += val
-                    state.opt_amortizer.step()
-                    amor_loss_val = total
+                        ema_update(state.targets[m], state.online[m], cfg.alpha)
+                log_lam = {m: amortize_forward(state.targets[m].ema, emb[m])[0] for m in MODALITIES}
+                median_err = _median_abs_gap(log_lam, log_z) if logged else None
+                snapshot.update(amor_loss=amor_loss, median_abs_log_z_err=median_err)
+                try:
+                    raw = amortized_mle_loss(emb["a"], emb["b"], tau, log_lam["a"], log_lam["b"])
+                except DomainError as exc:
+                    raise diverged(str(exc)) from exc
+            else:
                 state.gather_count += 1
-            if k % cfg.t_target == 0:
-                for m in MODALITIES:
-                    ema_update(state.targets[m], state.online[m], cfg.alpha)
-
-            log_lam = {m: amortize_forward(state.targets[m].ema, emb[m])[0] for m in MODALITIES}
-            median_err = _median_log_gap(log_lam, log_z) if logged else None
-            snapshot = {
-                "step": state.global_step,
-                "epoch": t,
-                "tau": tau,
-                "amor_loss": amor_loss_val,
-                "median_abs_log_z_err": median_err,
-            }
-
-            def diverged(message: str) -> TrainingDivergence:
-                if snapshot["median_abs_log_z_err"] is None:
-                    exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
-                    snapshot["median_abs_log_z_err"] = _median_log_gap(log_lam, exact)
-                return TrainingDivergence(message, snapshot)
-
-            try:
-                raw = amortized_mle_loss(emb["a"], emb["b"], tau, log_lam["a"], log_lam["b"])
-            except DomainError as exc:
-                raise diverged(str(exc)) from exc
+                raw = nce_loss(emb["a"], emb["b"], tau)
             rescaled = temperature_rescale(raw, tau, rho)
             snapshot.update(stage2_loss_raw=raw.value, stage2_loss_rescaled=rescaled.value)
-            for value, what in ((raw.value, "stage-II loss"), (amor_loss_val, "amortization loss")):
+            for value, what in ((raw.value, "stage-II loss"), (amor_loss, "amortization loss")):
                 if value is not None and not math.isfinite(value):
                     raise diverged(f"non-finite {what} at step {state.global_step}")
 
@@ -467,20 +455,37 @@ def run_amorlip(
             state.step_in_epoch = k
 
             if logged:
+                # tau is the value the step's losses used (pre-update), so every
+                # field except wall_ms is a pure function of the step
                 metrics.emit(
-                    _record(
-                        state,
-                        stage2_raw=raw.value,
-                        stage2_rescaled=rescaled.value,
-                        amor_loss=amor_loss_val,
-                        tau=tau,
-                        beta_t=beta_t,
-                        rho=rho,
-                        median_err=median_err,
-                        wall_start=wall_start,
-                    )
+                    {
+                        "step": state.global_step,
+                        "epoch": state.epoch,
+                        "stage2_loss_raw": raw.value,
+                        "stage2_loss_rescaled": rescaled.value,
+                        "amor_loss": amor_loss,
+                        "tau": tau,
+                        "beta_t": beta_t,
+                        "rho": rho,
+                        "median_abs_log_z_err": median_err,
+                        "gather_count": state.gather_count,
+                        "wall_ms": int((time.perf_counter() - wall_start) * 1000.0),
+                    }
                 )
     return state
+
+
+def run_amorlip(
+    cfg: TrainConfig,
+    ds: PairedDataset,
+    metrics: MetricsWriter | None = None,
+    start_state: TrainState | None = None,
+    max_steps: int | None = None,
+) -> TrainState:
+    """Amortized two-stage training: run_training for method 'amorlip'."""
+    if cfg.method != "amorlip":
+        raise ConfigError(f"run_amorlip requires method='amorlip', got {cfg.method!r}")
+    return run_training(cfg, ds, metrics, start_state, max_steps)
 
 
 def run_clip_baseline(
@@ -490,82 +495,10 @@ def run_clip_baseline(
     start_state: TrainState | None = None,
     max_steps: int | None = None,
 ) -> TrainState:
-    """NCE baseline with in-batch candidates; gathers on every step."""
-    cfg.validate()
+    """NCE baseline with in-batch candidates: run_training for method 'clip'."""
     if cfg.method != "clip":
         raise ConfigError(f"run_clip_baseline requires method='clip', got {cfg.method!r}")
-    train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
-    if train_ds.n < cfg.batch_size:
-        raise ConfigError("training split smaller than one batch")
-    state = start_state if start_state is not None else init_train_state(cfg, ds)
-    steps_per_epoch = train_ds.n // cfg.batch_size
-    total_steps = steps_per_epoch * cfg.epochs
-    sched = cfg.rho_schedule()
-    wall_start = time.perf_counter()
-
-    for t in range(max(state.epoch, 1), cfg.epochs + 1):
-        resuming_mid = t == state.epoch and state.step_in_epoch > 0
-        if not resuming_mid:
-            state.epoch = t
-            state.step_in_epoch = 0
-        skip = state.step_in_epoch
-        rho = rho_at(t, cfg.epochs, sched)
-        plan = make_batch_plan(train_ds.n, cfg.batch_size, cfg.seed, t)
-        for k, idx in enumerate(plan.batches(), start=1):
-            if k <= skip:
-                continue
-            if max_steps is not None and state.global_step >= max_steps:
-                return state
-            state.global_step += 1
-            state.gather_count += 1
-            tau = state.temperature.tau
-            emb, caches = _embed(state, train_ds, idx, state.global_step)
-            raw = nce_loss(emb["a"], emb["b"], tau)
-            rescaled = temperature_rescale(raw, tau, rho)
-            snapshot = {
-                "step": state.global_step,
-                "epoch": t,
-                "tau": tau,
-                "stage2_loss_raw": raw.value,
-                "stage2_loss_rescaled": rescaled.value,
-            }
-            _check_finite(raw.value, "NCE loss", snapshot)
-
-            state.opt_encoder.zero_grad()
-            encoder_backward(caches["a"], rescaled.grad_a)
-            encoder_backward(caches["b"], rescaled.grad_b)
-            state.temperature.accumulate_tau_grad(rescaled.tau_grad)
-            state.opt_encoder.step()
-            state.temperature.clamp()
-            state.step_in_epoch = k
-
-            if metrics is not None and _should_log(cfg, state.global_step, total_steps):
-                metrics.emit(
-                    _record(
-                        state,
-                        stage2_raw=raw.value,
-                        stage2_rescaled=rescaled.value,
-                        amor_loss=None,
-                        tau=tau,
-                        beta_t=None,
-                        rho=rho,
-                        median_err=None,
-                        wall_start=wall_start,
-                    )
-                )
-    return state
-
-
-def run_training(
-    cfg: TrainConfig,
-    ds: PairedDataset,
-    metrics: MetricsWriter | None = None,
-    start_state: TrainState | None = None,
-    max_steps: int | None = None,
-) -> TrainState:
-    if cfg.method == "amorlip":
-        return run_amorlip(cfg, ds, metrics, start_state, max_steps)
-    return run_clip_baseline(cfg, ds, metrics, start_state, max_steps)
+    return run_training(cfg, ds, metrics, start_state, max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +583,12 @@ def checkpoint_load_blocks(path) -> dict[str, Array]:
         off += 4
         if len(blob) < off + name_len + 8:
             raise FormatError("truncated block header", offset=off)
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("block name is not valid UTF-8", offset=off) from None
+        if name in blocks:
+            raise FormatError(f"duplicate block name {name!r}", offset=off)
         off += name_len
         rows, cols = struct.unpack_from("<II", blob, off)
         off += 8
@@ -769,11 +707,7 @@ def load_eval_model(path) -> EvalModel:
     targets = None
     target_nets = {m: _net_from_blocks(blocks, f"target_{m}") for m in MODALITIES}
     if all(net is not None for net in target_nets.values()):
-        targets = {}
-        for m in MODALITIES:
-            net = target_nets[m]
-            factor = net.dims[1] / net.dims[0]
-            targets[m] = AmortizerParams(net=net, modality=m, dim_factor=factor)
+        targets = {m: AmortizerParams(net=target_nets[m], modality=m) for m in MODALITIES}
     seed = int(blocks.get("meta/seed", _scalar(0.0))[0, 0])
     eval_fraction = float(blocks.get("meta/eval_fraction", _scalar(0.1))[0, 0])
     method = "amorlip" if blocks.get("meta/method", _scalar(1.0))[0, 0] == 1.0 else "clip"
@@ -857,8 +791,6 @@ def amortizer_fidelity_experiment(
                 loss += loss_l2log(online[m], view, targets[m][idx])
             opt.step()
             done += 1
-
-    from .evaluation import partition_error  # local import, avoids a cycle
 
     model = EvalModel(
         encoders=pre_state.encoders,

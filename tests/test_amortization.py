@@ -178,17 +178,16 @@ class TestCombinedTarget:
 
 
 class TestEmaUpdate:
-    def make_pair(self, alpha):
+    def make_pair(self):
         online = init_amortizer(5, 0.5, "a", (9, 1))
         target = TargetAmortizer(
             ema=_copy_amortizer(online, "ema"),
             prev_epoch=_copy_amortizer(online, "prev"),
-            alpha=alpha,
         )
         return online, target
 
     def test_basic_blend(self):
-        online, target = self.make_pair(0.999)
+        online, target = self.make_pair()
         for blk in target.ema.blocks():
             blk.value.fill(0.0)
         for blk in online.blocks():
@@ -198,7 +197,7 @@ class TestEmaUpdate:
             np.testing.assert_allclose(blk.value, 0.001, rtol=1e-12)
 
     def test_alpha_zero_copies(self):
-        online, target = self.make_pair(0.0)
+        online, target = self.make_pair()
         for blk in online.blocks():
             blk.value += 3.0
         ema_update(target, online, 0.0)
@@ -206,7 +205,7 @@ class TestEmaUpdate:
             assert np.array_equal(t_blk.value, o_blk.value)
 
     def test_alpha_one_freezes(self):
-        online, target = self.make_pair(1.0)
+        online, target = self.make_pair()
         before = [blk.value.copy() for blk in target.ema.blocks()]
         for blk in online.blocks():
             blk.value += 3.0
@@ -216,7 +215,7 @@ class TestEmaUpdate:
 
     @pytest.mark.parametrize("alpha", [0.92, 0.999])
     def test_geometric_convergence(self, alpha):
-        online, target = self.make_pair(alpha)
+        online, target = self.make_pair()
         for blk in target.ema.blocks():
             blk.value.fill(0.0)
         for blk in online.blocks():
@@ -228,7 +227,7 @@ class TestEmaUpdate:
             np.testing.assert_allclose(np.abs(blk.value - 1.0), alpha**k, rtol=1e-10)
 
     def test_shape_mismatch_rejected(self):
-        online, target = self.make_pair(0.5)
+        online, target = self.make_pair()
         other = init_amortizer(6, 0.5, "a", (9, 2))
         with pytest.raises(ContractError):
             ema_update(target, other, 0.5)

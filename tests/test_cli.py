@@ -1,11 +1,18 @@
 import json
 import math
+import struct
 
 import pytest
 
 from amorlip.cli import main
 from amorlip.data import dataset_file_size, generate_synthetic, save_dataset
 from amorlip.trainer import TrainConfig, checkpoint_save, init_train_state
+
+
+def stderr_line(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
 
 
 def read_jsonl(path):
@@ -120,6 +127,28 @@ class TestTrain:
         bad.write_text("{not json")
         assert main(["train", "--data", str(data_path), "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epochs", "3"), ("batch_size", 64.5), ("seed", True), ("include_positive", 1),
+         ("method", 0), ("tau_init", "14.3")],
+    )
+    def test_mistyped_config_value_exits_1(self, data_path, tmp_path, capsys, key, value):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
+        assert f"config key {key!r} must be" in stderr_line(capsys)
+
+    def test_non_finite_feature_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "nan.apds"
+        save_dataset(generate_synthetic(300, 4, 10, 9, 0.05, seed=11), path)
+        blob = bytearray(path.read_bytes())
+        offset = 6 + 16 + 4 * (300 * 10 + 7 * 9 + 2)  # modality b, sample 7, feature 2
+        blob[offset : offset + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        assert main(["train", "--data", str(path)]) == 3
+        line = stderr_line(capsys)
+        assert "non-finite feature" in line and f"(byte offset {offset})" in line
+
 
 class TestEval:
     def run_train(self, data_path, tiny_config, tmp_path, method="amorlip"):
@@ -171,6 +200,30 @@ class TestEval:
         p = 1.0 / 32
         n_eval = report["n_eval"]
         assert abs(report["zero_shot_accuracy"] - p) <= 3.0 * math.sqrt(p * (1 - p) / n_eval)
+
+    @pytest.mark.parametrize("corrupt", ["invalid_utf8", "duplicate"])
+    def test_bad_block_name_exits_3(self, data_path, tmp_path, capsys, corrupt):
+        cfg = TrainConfig(epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16, seed=11)
+        ckpt = tmp_path / "bad.ckpt"
+        ds = generate_synthetic(300, 4, 10, 9, 0.05, seed=11)
+        checkpoint_save(init_train_state(cfg, ds), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        if corrupt == "invalid_utf8":
+            offset = 6 + 4 + 4  # magic, block count, first name length
+            blob[offset] = 0xFF
+            message = "block name is not valid UTF-8"
+        else:
+            offset = blob.index(b"encoder_a/b0")  # the block after encoder_a/w0
+            blob[offset : offset + 12] = b"encoder_a/w0"
+            message = "duplicate block name 'encoder_a/w0'"
+        ckpt.write_bytes(bytes(blob))
+        assert (
+            main(["eval", "--data", str(data_path), "--checkpoint", str(ckpt),
+                  "--report", str(tmp_path / "r.json")])
+            == 3
+        )
+        line = stderr_line(capsys)
+        assert message in line and f"(byte offset {offset})" in line
 
     def test_missing_checkpoint_exits_3(self, data_path, tmp_path):
         assert (

@@ -6,7 +6,6 @@ import pytest
 from amorlip.data import (
     MAGIC,
     PairedDataset,
-    batch_iterator,
     dataset_file_size,
     generate_synthetic,
     load_dataset,
@@ -126,7 +125,7 @@ class TestFileFormat:
 class TestBatchIterator:
     def test_counts_and_distinctness(self):
         ds = generate_synthetic(10, 2, 4, 4, 0.0, seed=5)
-        batches = list(batch_iterator(ds, 4, seed=0, epoch=1))
+        batches = list(make_batch_plan(ds.n, 4, seed=0, epoch=1).batches())
         assert len(batches) == 2
         flat = np.concatenate(batches)
         assert len(flat) == 8
@@ -134,8 +133,8 @@ class TestBatchIterator:
 
     def test_deterministic_per_seed_epoch(self):
         ds = generate_synthetic(30, 2, 4, 4, 0.0, seed=5)
-        b1 = [b.tolist() for b in batch_iterator(ds, 8, seed=3, epoch=2)]
-        b2 = [b.tolist() for b in batch_iterator(ds, 8, seed=3, epoch=2)]
+        b1 = [b.tolist() for b in make_batch_plan(ds.n, 8, seed=3, epoch=2).batches()]
+        b2 = [b.tolist() for b in make_batch_plan(ds.n, 8, seed=3, epoch=2).batches()]
         assert b1 == b2
 
     def test_epochs_use_different_permutations(self):
@@ -151,9 +150,9 @@ class TestBatchIterator:
     def test_bad_batch_sizes_rejected(self):
         ds = generate_synthetic(10, 2, 4, 4, 0.0, seed=5)
         with pytest.raises(ConfigError):
-            list(batch_iterator(ds, 1, 0, 1))
+            make_batch_plan(ds.n, 1, 0, 1)
         with pytest.raises(ConfigError):
-            list(batch_iterator(ds, 11, 0, 1))
+            make_batch_plan(ds.n, 11, 0, 1)
 
 
 class TestSplitEval:

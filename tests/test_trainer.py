@@ -60,6 +60,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(beta_final=1.5).validate()
 
+    def test_value_types(self):
+        # float fields take ints; nothing is coerced
+        assert TrainConfig.from_dict({"tau_init": 14, "alpha": 1}).tau_init == 14
+        with pytest.raises(ConfigError, match="'t_online' must be int"):
+            TrainConfig.from_dict({"t_online": 8.0})
+
     def test_json_round_trip(self, tmp_path):
         cfg = small_cfg(alpha=0.92)
         path = tmp_path / "cfg.json"
@@ -233,14 +239,24 @@ class TestTrainingRuns:
 class TestObservation:
     """What is logged must not change what is trained."""
 
-    @pytest.mark.parametrize("objective", ["l2log", "fdiv"])
-    @pytest.mark.parametrize("t_online", [1, 2, 8, 32])
-    def test_checkpoint_independent_of_logging(self, tmp_path, objective, t_online):
+    # the clip method ignores objective and t_online, so one case covers it
+    @pytest.mark.parametrize(
+        "method, objective, t_online",
+        [
+            pytest.param("amorlip", objective, t_online, id=f"{t_online}-{objective}")
+            for t_online in (1, 2, 8, 32)
+            for objective in ("l2log", "fdiv")
+        ]
+        + [pytest.param("clip", "l2log", 8, id="clip")],
+    )
+    def test_checkpoint_independent_of_logging(self, tmp_path, method, objective, t_online):
         ds = small_ds(600)  # 33 steps per epoch at batch 16
         blobs = []
         for log_every in (None, 10, 1):
-            cfg = small_cfg(objective=objective, t_online=t_online, log_every=log_every or 10)
-            state = run_amorlip(cfg, ds, MetricsWriter() if log_every else None)
+            cfg = small_cfg(
+                method=method, objective=objective, t_online=t_online, log_every=log_every or 10
+            )
+            state = run_training(cfg, ds, MetricsWriter() if log_every else None)
             path = tmp_path / f"{log_every}.ckpt"
             checkpoint_save(state, path)
             blobs.append(path.read_bytes())
