@@ -11,6 +11,17 @@ sample's feature vector and the mean conjugate feature of the other
 modality's batch. Only the real (cosine) part is carried; the exp(tau)
 prefactor is applied once analytically.
 
+`partition_estimate_mc` takes a (k, d) array of unit queries and returns
+one estimate per query: the batch's mean conjugate feature is computed
+once and shared by all k.
+
+Every estimator works in place, or in steps of CHUNK frequency rows (CHUNK
+Box-Muller pairs when drawing), so no temporary grows with the feature
+count times the batch size: the memory an estimate needs is a few
+feature-length vectors on top of the frequency draw itself. Each step
+repeats the elementwise operations of the whole-array form in the same
+order, so the figures are the same to the bit.
+
 Estimator variance grows like exp(2 tau); this module validates the
 identity at moderate tau and is not the production partition estimator
 (the learned amortizer is).
@@ -28,16 +39,32 @@ from .errors import ContractError, DomainError
 from .numerics import Array, seeded_rng
 
 UNIT_TOL = 1e-9
+CHUNK = 4096  # Box-Muller pairs, or frequency rows, per in-place step
 
 
 def _box_muller_normals(rng: np.random.Generator, count: int) -> Array:
-    """Standard normals via the Box-Muller transform over a uniform stream."""
+    """Standard normals via the Box-Muller transform over a uniform stream.
+
+    u1 is drawn into the first half of the output and u2 into the second,
+    in stream order; each chunk of pairs is then overwritten with its
+    cosine and sine normals."""
     pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # (0, 1], keeps the log finite
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
-    return z[:count]
+    out = np.empty(2 * pairs)
+    u1, u2 = out[:pairs], out[pairs:]
+    rng.random(out=u1)
+    rng.random(out=u2)
+    for lo in range(0, pairs, CHUNK):
+        c1, c2 = u1[lo : lo + CHUNK], u2[lo : lo + CHUNK]
+        radius = 1.0 - c1  # (0, 1], keeps the log finite
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = 2.0 * np.pi * c2
+        np.cos(angle, out=c1)
+        c1 *= radius
+        np.sin(angle, out=c2)
+        c2 *= radius
+    return out[:count]
 
 
 @dataclass(frozen=True)
@@ -84,16 +111,43 @@ def _check_unit(u: Array, what: str) -> Array:
     return u
 
 
+def _check_unit_rows(x: Array, what: str) -> None:
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+        bad = int(np.argmax(np.abs(norms - 1.0)))
+        raise ContractError(f"{what} row {bad} is not unit-norm (||.|| = {norms[bad]:.12f})")
+
+
 def _estimate_from_samples(per_feature: Array, scale: float) -> KernelEstimate:
+    """Scaled mean and standard error of per_feature, which it overwrites.
+
+    The deviations are formed in place, with the steps of numpy's own
+    `mean` and `std(ddof=1)` in their order, so both figures are numpy's to
+    the bit."""
     m = per_feature.shape[0]
-    value = scale * float(per_feature.mean())
+    mean = np.add.reduce(per_feature) / m
+    value = scale * float(mean)
     if float(np.ptp(per_feature)) == 0.0:
         stderr = 0.0  # all samples identical: genuinely zero variance
     elif m >= 2:
-        stderr = scale * float(per_feature.std(ddof=1)) / math.sqrt(m)
+        per_feature -= mean
+        np.multiply(per_feature, per_feature, out=per_feature)
+        std = math.sqrt(np.add.reduce(per_feature) / (m - 1))
+        stderr = scale * std / math.sqrt(m)
     else:
         stderr = math.inf
     return KernelEstimate(value=value, stderr=stderr)
+
+
+def _scaled_projection(u1, u2, fmap: RandomFeatureMap) -> Array:
+    """sqrt(tau) <w, u1 - u2> for every frequency row w, in a fresh vector."""
+    u1 = _check_unit(u1, "u1")
+    u2 = _check_unit(u2, "u2")
+    if u1.shape[0] != fmap.dim or u2.shape[0] != fmap.dim:
+        raise ContractError(f"vectors of dim {u1.shape[0]} do not match feature dim {fmap.dim}")
+    proj = fmap.omegas @ (u1 - u2)
+    proj *= math.sqrt(fmap.tau)
+    return proj
 
 
 def kernel_estimate(u1, u2, fmap: RandomFeatureMap) -> KernelEstimate:
@@ -102,44 +156,62 @@ def kernel_estimate(u1, u2, fmap: RandomFeatureMap) -> KernelEstimate:
     Identical inputs give exactly exp(tau) with zero sampling variance,
     since every feature contributes cos(0).
     """
-    u1 = _check_unit(u1, "u1")
-    u2 = _check_unit(u2, "u2")
-    if u1.shape[0] != fmap.dim or u2.shape[0] != fmap.dim:
-        raise ContractError(f"vectors of dim {u1.shape[0]} do not match feature dim {fmap.dim}")
-    proj = (fmap.omegas @ (u1 - u2)) * math.sqrt(fmap.tau)
-    return _estimate_from_samples(np.cos(proj), math.exp(fmap.tau))
+    proj = _scaled_projection(u1, u2, fmap)
+    return _estimate_from_samples(np.cos(proj, out=proj), math.exp(fmap.tau))
 
 
 def imaginary_part_estimate(u1, u2, fmap: RandomFeatureMap) -> float:
     """Mean of sin(sqrt(tau) <w, u1 - u2>); vanishes in expectation by the
     symmetry of the frequency distribution."""
-    u1 = _check_unit(u1, "u1")
-    u2 = _check_unit(u2, "u2")
-    proj = (fmap.omegas @ (u1 - u2)) * math.sqrt(fmap.tau)
-    return float(np.sin(proj).mean())
+    proj = _scaled_projection(u1, u2, fmap)
+    return float(np.sin(proj, out=proj).mean())
 
 
-def partition_estimate_mc(u, others: EmbeddingBatch, fmap: RandomFeatureMap) -> KernelEstimate:
-    """Estimate of the mean-form partition (1/n) sum_j exp(tau <u, psi_j>)
-    via a single inner product against the precomputed mean conjugate
-    feature of the batch.
+def partition_estimate_mc(
+    queries, others: EmbeddingBatch, fmap: RandomFeatureMap
+) -> list[KernelEstimate]:
+    """Estimates of the mean-form partition (1/n) sum_j exp(tau <u, psi_j>)
+    for each unit row u of the (k, d) array `queries`, one per row, each a
+    single inner product against the mean conjugate feature of the batch.
 
-    By linearity this equals the average of kernel_estimate over the batch
-    (same feature map), up to rounding.
+    The mean conjugate feature is computed once for all k queries, CHUNK
+    frequency rows at a time. By linearity each estimate equals the
+    average of kernel_estimate over the batch (same feature map), up to
+    rounding.
     """
-    u = _check_unit(u, "query")
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ContractError(f"queries must be a (k, d) array, got shape {queries.shape}")
     if others.n < 1:
         raise ContractError("the complementary batch must be non-empty")
-    norms = np.linalg.norm(others.data, axis=1)
-    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
-        raise ContractError(f"batch row {bad} is not unit-norm (||.|| = {norms[bad]:.12f})")
-    if u.shape[0] != fmap.dim or others.dim != fmap.dim:
-        raise ContractError(f"dims {u.shape[0]}/{others.dim} do not match feature dim {fmap.dim}")
+    _check_unit_rows(queries, "query")
+    _check_unit_rows(others.data, "batch")
+    if queries.shape[1] != fmap.dim or others.dim != fmap.dim:
+        raise ContractError(
+            f"dims {queries.shape[1]}/{others.dim} do not match feature dim {fmap.dim}"
+        )
     sqrt_tau = math.sqrt(fmap.tau)
-    proj_u = (fmap.omegas @ u) * sqrt_tau  # (M,)
-    proj_o = (fmap.omegas @ others.data.T) * sqrt_tau  # (M, n)
-    mean_cos = np.cos(proj_o).mean(axis=1)
-    mean_sin = np.sin(proj_o).mean(axis=1)
-    per_feature = np.cos(proj_u) * mean_cos + np.sin(proj_u) * mean_sin
-    return _estimate_from_samples(per_feature, math.exp(fmap.tau))
+    m = fmap.m_features
+    mean_cos = np.empty(m)
+    mean_sin = np.empty(m)
+    for lo in range(0, m, CHUNK):
+        proj_o = fmap.omegas[lo : lo + CHUNK] @ others.data.T  # (CHUNK, n)
+        proj_o *= sqrt_tau
+        trig = np.cos(proj_o)
+        trig.mean(axis=1, out=mean_cos[lo : lo + CHUNK])
+        np.sin(proj_o, out=trig)
+        trig.mean(axis=1, out=mean_sin[lo : lo + CHUNK])
+    scale = math.exp(fmap.tau)
+    proj_u = np.empty(m)
+    per_feature = np.empty(m)
+    estimates = []
+    for u in queries:
+        np.matmul(fmap.omegas, u, out=proj_u)
+        proj_u *= sqrt_tau
+        np.cos(proj_u, out=per_feature)
+        per_feature *= mean_cos
+        np.sin(proj_u, out=proj_u)
+        proj_u *= mean_sin
+        per_feature += proj_u
+        estimates.append(_estimate_from_samples(per_feature, scale))
+    return estimates

@@ -98,6 +98,12 @@ class TrainConfig:
     log_every: int = 10
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            # every comparison with NaN is false, so the range checks below
+            # would pass it; an infinity would pass the one-sided ones
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config key {field.name!r} must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.objective not in OBJECTIVES:
@@ -595,11 +601,12 @@ def checkpoint_load_blocks(path) -> dict[str, Array]:
         nbytes = rows * cols * 8
         if len(blob) < off + nbytes:
             raise FormatError(f"truncated payload for block {name!r}", offset=off)
-        blocks[name] = (
-            np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
-            .reshape(rows, cols)
-            .copy()
-        )
+        payload = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
+        finite = np.isfinite(payload)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise FormatError(f"non-finite value in block {name!r}", offset=off + 8 * first)
+        blocks[name] = payload.reshape(rows, cols).copy()
         off += nbytes
     if off != len(blob):
         raise FormatError("trailing bytes after final block", offset=off)

@@ -138,6 +138,15 @@ class TestTrain:
         assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
         assert f"config key {key!r} must be" in stderr_line(capsys)
 
+    @pytest.mark.parametrize(
+        "key, value", [("lr_encoder", math.nan), ("tau_max", math.inf), ("f_d", -math.inf)]
+    )
+    def test_non_finite_config_value_exits_1(self, data_path, tmp_path, capsys, key, value):
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text(json.dumps({key: value}))  # NaN, Infinity, -Infinity literals
+        assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
+        assert f"config key {key!r} must be finite" in stderr_line(capsys)
+
     def test_non_finite_feature_exits_3(self, tmp_path, capsys):
         path = tmp_path / "nan.apds"
         save_dataset(generate_synthetic(300, 4, 10, 9, 0.05, seed=11), path)
@@ -224,6 +233,25 @@ class TestEval:
         )
         line = stderr_line(capsys)
         assert message in line and f"(byte offset {offset})" in line
+
+    def test_non_finite_payload_exits_3(self, data_path, tmp_path, capsys):
+        cfg = TrainConfig(epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16, seed=11)
+        ckpt = tmp_path / "nan.ckpt"
+        ds = generate_synthetic(300, 4, 10, 9, 0.05, seed=11)
+        checkpoint_save(init_train_state(cfg, ds), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        name = b"temperature/log_tau"
+        offset = blob.index(name) + len(name) + 8  # past the name and the (rows, cols) header
+        blob[offset : offset + 8] = struct.pack("<d", math.nan)
+        ckpt.write_bytes(bytes(blob))
+        assert (
+            main(["eval", "--data", str(data_path), "--checkpoint", str(ckpt),
+                  "--report", str(tmp_path / "r.json")])
+            == 3
+        )
+        line = stderr_line(capsys)
+        assert "non-finite value in block 'temperature/log_tau'" in line
+        assert f"(byte offset {offset})" in line
 
     def test_missing_checkpoint_exits_3(self, data_path, tmp_path):
         assert (

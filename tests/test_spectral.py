@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from amorlip.encoders import EmbeddingBatch
 from amorlip.errors import ContractError, DomainError
 from amorlip.numerics import seeded_rng
 from amorlip.spectral import (
+    CHUNK,
+    KernelEstimate,
     imaginary_part_estimate,
     kernel_estimate,
     partition_estimate_mc,
@@ -86,7 +89,7 @@ class TestPartitionEstimate:
         u = np.zeros(4)
         u[1] = 1.0
         others = EmbeddingBatch(u[None, :].copy(), "b")
-        est = partition_estimate_mc(u, others, fmap)
+        [est] = partition_estimate_mc(u[None, :], others, fmap)
         assert est.value == pytest.approx(math.exp(2.0), rel=1e-13)
 
     def test_repeated_references_by_linearity(self):
@@ -94,7 +97,7 @@ class TestPartitionEstimate:
         u = np.zeros(4)
         u[1] = 1.0
         others = EmbeddingBatch(np.tile(u, (7, 1)), "b")
-        est = partition_estimate_mc(u, others, fmap)
+        [est] = partition_estimate_mc(u[None, :], others, fmap)
         assert est.value == pytest.approx(math.exp(2.0), rel=1e-13)
 
     def test_equals_mean_of_kernel_estimates(self):
@@ -104,7 +107,7 @@ class TestPartitionEstimate:
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         others = EmbeddingBatch(raw, "b")
         u, _ = pair_with_similarity(5, 1.0)
-        combined = partition_estimate_mc(u, others, fmap)
+        [combined] = partition_estimate_mc(u[None, :], others, fmap)
         per_ref = [kernel_estimate(u, raw[j], fmap).value for j in range(6)]
         assert abs(combined.value - float(np.mean(per_ref))) <= 1e-12
 
@@ -119,16 +122,26 @@ class TestPartitionEstimate:
         refs = EmbeddingBatch(raw_r, "b")
         pe = exact_partition(queries, refs, tau)
         fmap = sample_features(m, 4, tau, seed=36)
-        for i in range(8):
-            est = partition_estimate_mc(queries.data[i], refs, fmap)
-            assert abs(est.value - math.exp(pe.log_z_exact[i])) <= 3.0 * est.stderr
+        estimates = partition_estimate_mc(queries.data, refs, fmap)
+        assert len(estimates) == 8
+        for est, log_z in zip(estimates, pe.log_z_exact):
+            assert abs(est.value - math.exp(log_z)) <= 3.0 * est.stderr
 
     def test_non_unit_reference_rejected(self):
         fmap = sample_features(16, 3, 1.0, seed=37)
         u = np.array([1.0, 0.0, 0.0])
         bad = EmbeddingBatch(np.array([[0.5, 0.5, 0.0]]), "b")
         with pytest.raises(ContractError):
-            partition_estimate_mc(u, bad, fmap)
+            partition_estimate_mc(u[None, :], bad, fmap)
+
+    def test_queries_must_be_unit_rows(self):
+        fmap = sample_features(16, 3, 1.0, seed=38)
+        u = np.array([1.0, 0.0, 0.0])
+        others = EmbeddingBatch(u[None, :].copy(), "b")
+        with pytest.raises(ContractError, match="query row 1"):
+            partition_estimate_mc(np.array([u, [0.5, 0.5, 0.0]]), others, fmap)
+        with pytest.raises(ContractError, match=r"\(k, d\) array"):
+            partition_estimate_mc(u, others, fmap)
 
 
 class TestConvergence:
@@ -150,3 +163,107 @@ class TestConvergence:
         u1, u2 = pair_with_similarity(4, 0.3)
         fmap = sample_features(m, 4, 2.0, seed=41)
         assert abs(imaginary_part_estimate(u1, u2, fmap)) <= 3.0 / math.sqrt(m)
+
+
+# ---------------------------------------------------------------------------
+# The estimators work in place and in CHUNK-row steps. These are the
+# whole-array formulas they replaced; each figure must match them to the bit.
+
+
+def reference_normals(seed, count):
+    rng = seeded_rng(seed)
+    pairs = (count + 1) // 2
+    u1 = 1.0 - rng.random(pairs)
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
+    return z[:count]
+
+
+def reference_estimate(per_feature, scale):
+    m = per_feature.shape[0]
+    value = scale * float(per_feature.mean())
+    if float(np.ptp(per_feature)) == 0.0:
+        return KernelEstimate(value, 0.0)
+    if m >= 2:
+        return KernelEstimate(value, scale * float(per_feature.std(ddof=1)) / math.sqrt(m))
+    return KernelEstimate(value, math.inf)
+
+
+def reference_partition(u, others, fmap):
+    sqrt_tau = math.sqrt(fmap.tau)
+    proj_u = (fmap.omegas @ u) * sqrt_tau
+    proj_o = (fmap.omegas @ others.T) * sqrt_tau
+    mean_cos = np.cos(proj_o).mean(axis=1)
+    mean_sin = np.sin(proj_o).mean(axis=1)
+    per_feature = np.cos(proj_u) * mean_cos + np.sin(proj_u) * mean_sin
+    return reference_estimate(per_feature, math.exp(fmap.tau))
+
+
+def unit_rows(seed, n, d):
+    raw = seeded_rng(seed).standard_normal((n, d))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+# feature counts on either side of one and two chunks of rows
+BOUNDARY_M = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize(
+        "m, d",
+        [(1, 1), (3, 5), (CHUNK - 1, 1), (CHUNK, 1), (CHUNK + 1, 1),
+         (2 * CHUNK - 1, 1), (2 * CHUNK, 1), (2 * CHUNK + 1, 1), (200_000, 4)],
+    )
+    def test_omegas(self, m, d):
+        # m * d odd drops the last sine normal; 2 * CHUNK normals are one chunk of pairs
+        omegas = sample_features(m, d, 1.0, seed=51).omegas
+        assert omegas.shape == (m, d)
+        assert omegas.tobytes() == reference_normals(51, m * d).tobytes()
+
+    @pytest.mark.parametrize("m", BOUNDARY_M)
+    def test_kernel_and_imaginary_part(self, m):
+        fmap = sample_features(m, 4, 2.0, seed=52)
+        u1, u2 = unit_rows(53, 2, 4)
+        for a, b in ((u1, u2), (u1, u1.copy())):
+            proj = (fmap.omegas @ (a - b)) * math.sqrt(fmap.tau)
+            assert kernel_estimate(a, b, fmap) == reference_estimate(np.cos(proj), math.exp(2.0))
+            assert imaginary_part_estimate(a, b, fmap) == float(np.sin(proj).mean())
+
+    @pytest.mark.parametrize("m", BOUNDARY_M)
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_partition(self, m, n):
+        fmap = sample_features(m, 4, 1.0, seed=54)
+        queries, refs = unit_rows(55, 8, 4), unit_rows(56, n, 4)
+        estimates = partition_estimate_mc(queries, EmbeddingBatch(refs, "b"), fmap)
+        assert estimates == [reference_partition(u, refs, fmap) for u in queries]
+
+
+def traced_peak(fn):
+    """fn's result and the most memory it held above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+MIB = 1 << 20
+
+
+class TestMemory:
+    def test_sample_features_holds_little_beyond_its_output(self):
+        sample_features(1, 1, 1.0, seed=60)  # numpy.random's first seeding sets up ~1 MiB once
+        fmap, peak = traced_peak(lambda: sample_features(200_000, 4, 1.0, seed=61))
+        assert peak <= fmap.omegas.nbytes + MIB
+
+    def test_partition_estimate_holds_four_feature_vectors(self):
+        m = 200_000
+        fmap = sample_features(m, 4, 1.0, seed=62)
+        queries, refs = unit_rows(63, 8, 4), EmbeddingBatch(unit_rows(64, 8, 4), "b")
+        estimates, peak = traced_peak(lambda: partition_estimate_mc(queries, refs, fmap))
+        assert len(estimates) == 8
+        assert peak <= 4 * m * 8 + MIB
