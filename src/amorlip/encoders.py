@@ -145,16 +145,16 @@ def encode(params: EncoderParams, inputs, modality: str):
     return EmbeddingBatch(data=emb, modality=modality), cache
 
 
-def encoder_backward(cache: EncodeCache, upstream) -> Array:
+def encoder_backward(cache: EncodeCache, upstream) -> None:
     """Backpropagate an embedding gradient into the encoder's ParamBlocks.
 
-    Gradients accumulate additively. Returns the gradient on the raw inputs.
+    Gradients accumulate additively; the gradient on the raw inputs is not
+    formed.
     """
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != cache.out_shape:
         raise ContractError(f"upstream shape {g.shape} != embedding shape {cache.out_shape}")
-    g_raw = cache.norm_backward(g)
-    return cache.net.backward(cache.acts, g_raw)
+    cache.net.backward(cache.acts, cache.norm_backward(g))
 
 
 def similarity_matrix(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch) -> Array:

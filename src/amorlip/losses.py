@@ -112,11 +112,12 @@ def amortized_mle_loss(
     trace = float(np.trace(s))
     value = -(2.0 * tau / n) * trace + (float(np.sum(e_a)) + float(np.sum(e_b))) / (n * n)
 
-    d_s = (tau / (n * n)) * (e_a + e_b)
+    e_sum = e_a + e_b
+    d_s = (tau / (n * n)) * e_sum
     d_s[np.diag_indices(n)] -= 2.0 * tau / n
     grad_a = d_s @ emb_b.data
     grad_b = d_s.T @ emb_a.data
-    tau_grad = -(2.0 / n) * trace + float(np.sum(s * (e_a + e_b))) / (n * n)
+    tau_grad = -(2.0 / n) * trace + float(np.sum(s * e_sum)) / (n * n)
     return LossOutput(value=value, grad_a=grad_a, grad_b=grad_b, tau_grad=tau_grad)
 
 

@@ -100,18 +100,16 @@ class Mlp:
             acts.append(h)
         return h, acts
 
-    def backward(self, acts: list[Array], upstream) -> Array:
-        """Accumulate parameter gradients; returns the gradient on the input."""
+    def backward(self, acts: list[Array], upstream) -> None:
+        """Accumulate parameter gradients. The gradient on the input is not
+        formed: no caller uses it."""
         g = np.asarray(upstream, dtype=np.float64)
         if g.shape != acts[-1].shape:
             raise ContractError(
                 f"{self.name}: upstream shape {g.shape} != output shape {acts[-1].shape}"
             )
-        last = self.n_layers - 1
-        for i in range(last, -1, -1):
-            if i < last:
-                g = g * (1.0 - acts[i + 1] ** 2)
+        for i in range(self.n_layers - 1, -1, -1):
             self.weights[i].grad += acts[i].T @ g
             self.biases[i].grad += g.sum(axis=0, keepdims=True)
-            g = g @ self.weights[i].value.T
-        return g
+            if i > 0:
+                g = (g @ self.weights[i].value.T) * (1.0 - acts[i] ** 2)

@@ -279,7 +279,6 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
 
     # 3-standard-error coverage of the kernel estimate, per (tau, s)
     for ti, tau in enumerate(taus):
-        worst_fraction = 1.0
         hits = {s: 0 for s in sims}
         for trial in range(trials):
             fmap = sample_features(m_features, d, tau, seed=90_000 + 1000 * ti + trial)

@@ -170,16 +170,6 @@ class TestConvergence:
 # whole-array formulas they replaced; each figure must match them to the bit.
 
 
-def reference_normals(seed, count):
-    rng = seeded_rng(seed)
-    pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
-    return z[:count]
-
-
 def reference_estimate(per_feature, scale):
     m = per_feature.shape[0]
     value = scale * float(per_feature.mean())
@@ -216,10 +206,11 @@ class TestBitIdentity:
          (2 * CHUNK - 1, 1), (2 * CHUNK, 1), (2 * CHUNK + 1, 1), (200_000, 4)],
     )
     def test_omegas(self, m, d):
-        # m * d odd drops the last sine normal; 2 * CHUNK normals are one chunk of pairs
+        # the (d, m) ziggurat draw, transposed: one contiguous column per coordinate
         omegas = sample_features(m, d, 1.0, seed=51).omegas
         assert omegas.shape == (m, d)
-        assert omegas.tobytes() == reference_normals(51, m * d).tobytes()
+        assert omegas.flags.f_contiguous
+        assert omegas.tobytes() == seeded_rng(51).standard_normal((d, m)).T.tobytes()
 
     @pytest.mark.parametrize("m", BOUNDARY_M)
     def test_kernel_and_imaginary_part(self, m):
