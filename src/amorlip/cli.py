@@ -29,7 +29,7 @@ from .trainer import (
     load_eval_model,
     run_training,
 )
-from .verify import run_suite
+from .verify import MAX_FEATURES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
         "--features",
         type=int,
         default=200_000,
-        help="feature count for the spectral suite",
+        help=f"feature count for the spectral suite, at most {MAX_FEATURES}",
     )
     return parser
 

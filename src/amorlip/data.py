@@ -86,6 +86,8 @@ def generate_synthetic(
         raise ConfigError(f"modality dims must be >= 2, got {dim_a}, {dim_b}")
     if noise_sigma < 0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = seeded_rng(seed)
     latent = min(dim_a, dim_b)
     protos = rng.standard_normal((num_classes, latent))

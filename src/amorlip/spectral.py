@@ -118,12 +118,17 @@ def _estimate_from_samples(per_feature: Array, scale: float) -> KernelEstimate:
     return KernelEstimate(value=value, stderr=stderr)
 
 
-def _scaled_projection(u1, u2, fmap: RandomFeatureMap) -> Array:
-    """sqrt(tau) <w, u1 - u2> for every frequency row w, in a fresh vector."""
+def _check_pair(u1, u2, fmap: RandomFeatureMap) -> tuple[Array, Array]:
+    """u1 and u2 as flat float64 unit vectors of the feature map's dim."""
     u1 = _check_unit(u1, "u1")
     u2 = _check_unit(u2, "u2")
     if u1.shape[0] != fmap.dim or u2.shape[0] != fmap.dim:
         raise ContractError(f"vectors of dim {u1.shape[0]} do not match feature dim {fmap.dim}")
+    return u1, u2
+
+
+def _scaled_projection(u1: Array, u2: Array, fmap: RandomFeatureMap) -> Array:
+    """sqrt(tau) <w, u1 - u2> for every frequency row w, in a fresh vector."""
     proj = fmap.omegas @ (u1 - u2)
     proj *= math.sqrt(fmap.tau)
     return proj
@@ -133,8 +138,12 @@ def kernel_estimate(u1, u2, fmap: RandomFeatureMap) -> KernelEstimate:
     """Monte-Carlo estimate of exp(tau * <u1, u2>) for unit vectors.
 
     Identical inputs give exactly exp(tau) with zero sampling variance,
-    since every feature contributes cos(0).
+    since every feature contributes cos(0); that answer is returned
+    without a projection, and it is the full path's to the bit.
     """
+    u1, u2 = _check_pair(u1, u2, fmap)
+    if np.array_equal(u1, u2):
+        return KernelEstimate(value=math.exp(fmap.tau), stderr=0.0)
     proj = _scaled_projection(u1, u2, fmap)
     return _estimate_from_samples(np.cos(proj, out=proj), math.exp(fmap.tau))
 
@@ -142,7 +151,7 @@ def kernel_estimate(u1, u2, fmap: RandomFeatureMap) -> KernelEstimate:
 def imaginary_part_estimate(u1, u2, fmap: RandomFeatureMap) -> float:
     """Mean of sin(sqrt(tau) <w, u1 - u2>); vanishes in expectation by the
     symmetry of the frequency distribution."""
-    proj = _scaled_projection(u1, u2, fmap)
+    proj = _scaled_projection(*_check_pair(u1, u2, fmap), fmap)
     return float(np.sin(proj, out=proj).mean())
 
 

@@ -130,10 +130,22 @@ class TrainConfig:
             raise ConfigError("anneal_start_fraction must lie in [0, 1]")
         if self.tau_init <= 0 or self.tau_max <= 0:
             raise ConfigError("temperatures must be positive")
+        for key in ("tau_init", "tau_max"):
+            # the rescaled loss divides by tau and its tau gradient by tau^2,
+            # and Temperature has no lower clamp to keep either finite
+            tau = getattr(self, key)
+            square = tau * tau
+            if not (0.0 < square < math.inf and 0.0 < 1.0 / square < math.inf):
+                raise ConfigError(
+                    f"config key {key!r} must have a finite, non-zero square and inverse square,"
+                    f" got {tau!r}"
+                )
         if not 0.0 < self.eval_fraction < 1.0:
             raise ConfigError("eval_fraction must lie in (0, 1)")
         if self.log_every < 1:
             raise ConfigError("log_every must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -54,6 +54,9 @@ from .spectral import (
 
 FD_STEP = 1e-6
 GRAD_TOL = 1e-5
+# the largest --features the spectral suite takes: its partition check
+# draws an (M, 4) float64 array, 320 MB at this bound
+MAX_FEATURES = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +265,24 @@ def suite_gradcheck(instances: int = 20) -> list[dict]:
 # spectral suite
 
 
-def _pair_with_similarity(d: int, s: float) -> tuple[Array, Array]:
-    u1 = np.zeros(d)
-    u1[0] = 1.0
-    u2 = np.zeros(d)
-    u2[0] = s
-    u2[1] = math.sqrt(max(0.0, 1.0 - s * s))
-    return u1, u2
+def _pair_with_similarity(s: float) -> tuple[Array, Array]:
+    """Two 2-D unit vectors with inner product s.
+
+    The kernel estimate reads the frequencies only through <w, u1 - u2>,
+    so a pair in a plane needs just two frequency coordinates. A (2, M)
+    draw is the first two rows of the (d, M) draw from the same seed, so
+    the estimates equal those of the pair zero-padded to d dimensions."""
+    return np.array([1.0, 0.0]), np.array([s, math.sqrt(max(0.0, 1.0 - s * s))])
 
 
 def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
+    if m_features > MAX_FEATURES:
+        raise ConfigError(
+            f"spectral suite takes at most {MAX_FEATURES} features, got {m_features}"
+        )
     checks = []
-    d = 4
+    d_pair = 2  # the pair checks
+    d = 4  # the partition check's batches
     taus = (1.0, 2.0, 4.0)
     sims = (-0.5, 0.0, 0.5, 1.0)
 
@@ -281,9 +290,9 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     for ti, tau in enumerate(taus):
         hits = {s: 0 for s in sims}
         for trial in range(trials):
-            fmap = sample_features(m_features, d, tau, seed=90_000 + 1000 * ti + trial)
+            fmap = sample_features(m_features, d_pair, tau, seed=90_000 + 1000 * ti + trial)
             for s in sims:
-                u1, u2 = _pair_with_similarity(d, s)
+                u1, u2 = _pair_with_similarity(s)
                 est = kernel_estimate(u1, u2, fmap)
                 if abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr:
                     hits[s] += 1
@@ -311,12 +320,12 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     # O(1/sqrt(M)) error decay: quadrupling M should halve the RMSE
     tau, s = 2.0, 0.5
     m0 = max(10, m_features // 50)
-    u1, u2 = _pair_with_similarity(d, s)
+    u1, u2 = _pair_with_similarity(s)
     truth = math.exp(tau * s)
     errs0, errs1 = [], []
     for seed in range(50):
-        e0 = kernel_estimate(u1, u2, sample_features(m0, d, tau, seed=93_000 + seed))
-        e1 = kernel_estimate(u1, u2, sample_features(4 * m0, d, tau, seed=94_000 + seed))
+        e0 = kernel_estimate(u1, u2, sample_features(m0, d_pair, tau, seed=93_000 + seed))
+        e1 = kernel_estimate(u1, u2, sample_features(4 * m0, d_pair, tau, seed=94_000 + seed))
         errs0.append((e0.value - truth) ** 2)
         errs1.append((e1.value - truth) ** 2)
     ratio = math.sqrt(sum(errs1) / len(errs1)) / math.sqrt(sum(errs0) / len(errs0))
@@ -325,8 +334,8 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     )
 
     # imaginary part of the feature product vanishes by symmetry
-    fmap = sample_features(m_features, d, 2.0, seed=95_000)
-    imag = abs(imaginary_part_estimate(*_pair_with_similarity(d, 0.5), fmap))
+    fmap = sample_features(m_features, d_pair, 2.0, seed=95_000)
+    imag = abs(imaginary_part_estimate(*_pair_with_similarity(0.5), fmap))
     bound = 3.0 / math.sqrt(m_features)
     checks.append(_check("spectral/imaginary_part", imag, bound, imag <= bound))
 

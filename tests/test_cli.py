@@ -7,6 +7,7 @@ import pytest
 from amorlip.cli import main
 from amorlip.data import dataset_file_size, generate_synthetic, save_dataset
 from amorlip.trainer import TrainConfig, checkpoint_save, init_train_state
+from amorlip.verify import MAX_FEATURES
 
 
 def stderr_line(capsys) -> str:
@@ -67,6 +68,12 @@ class TestGenData:
 
     def test_bad_params_exit_1(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x.apds"), "--classes", "1"]) == 1
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.apds"
+        assert main(["gen-data", "--out", str(out), "--seed", "-3"]) == 1
+        assert "seed must be a non-negative integer, got -3" in stderr_line(capsys)
+        assert not out.exists()
 
 
 class TestTrain:
@@ -146,6 +153,25 @@ class TestTrain:
         cfg.write_text(json.dumps({key: value}))  # NaN, Infinity, -Infinity literals
         assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
         assert f"config key {key!r} must be finite" in stderr_line(capsys)
+
+    def test_negative_seed_flag_exits_1(self, data_path, capsys):
+        assert main(["train", "--data", str(data_path), "--seed", "-1"]) == 1
+        assert "config key 'seed' must be a non-negative integer, got -1" in stderr_line(capsys)
+
+    def test_negative_seed_in_config_exits_1(self, data_path, tmp_path, capsys):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
+        assert "config key 'seed' must be a non-negative integer, got -1" in stderr_line(capsys)
+
+    @pytest.mark.parametrize("key", ["tau_init", "tau_max"])
+    @pytest.mark.parametrize("value", [1e-300, 1e200])  # tau^2 underflows / overflows
+    def test_extreme_temperature_exits_1(self, data_path, tmp_path, capsys, key, value):
+        cfg = tmp_path / "tau.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
+        line = stderr_line(capsys)
+        assert f"config key {key!r} must have a finite, non-zero square" in line
 
     def test_non_finite_feature_exits_3(self, tmp_path, capsys):
         path = tmp_path / "nan.apds"
@@ -277,6 +303,11 @@ class TestVerify:
         assert main(["verify", "spectral", "--features", "10"]) == 2
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert any(c["status"] == "fail" for c in lines)
+
+    def test_spectral_feature_bound_exits_1(self, capsys):
+        # rejected before the first frequency draw
+        assert main(["verify", "spectral", "--features", str(MAX_FEATURES + 1)]) == 1
+        assert f"at most {MAX_FEATURES} features" in stderr_line(capsys)
 
     def test_unknown_suite_exits_1(self):
         assert main(["verify", "nonsense"]) == 1

@@ -199,12 +199,18 @@ def unit_rows(seed, n, d):
 BOUNDARY_M = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
 
 
+OMEGA_SHAPES = [
+    (1, 1), (3, 5), (CHUNK - 1, 1), (CHUNK, 1), (CHUNK + 1, 1),
+    (2 * CHUNK - 1, 1), (2 * CHUNK, 1), (2 * CHUNK + 1, 1), (200_000, 4),
+]
+
+
+def same_bits(a: KernelEstimate, b: KernelEstimate) -> bool:
+    return (a.value.hex(), float(a.stderr).hex()) == (b.value.hex(), float(b.stderr).hex())
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize(
-        "m, d",
-        [(1, 1), (3, 5), (CHUNK - 1, 1), (CHUNK, 1), (CHUNK + 1, 1),
-         (2 * CHUNK - 1, 1), (2 * CHUNK, 1), (2 * CHUNK + 1, 1), (200_000, 4)],
-    )
+    @pytest.mark.parametrize("m, d", OMEGA_SHAPES)
     def test_omegas(self, m, d):
         # the (d, m) ziggurat draw, transposed: one contiguous column per coordinate
         omegas = sample_features(m, d, 1.0, seed=51).omegas
@@ -212,13 +218,40 @@ class TestBitIdentity:
         assert omegas.flags.f_contiguous
         assert omegas.tobytes() == seeded_rng(51).standard_normal((d, m)).T.tobytes()
 
+    @pytest.mark.parametrize("m", [m for m, _ in OMEGA_SHAPES])
+    def test_two_coordinate_draw_is_leading_columns(self, m):
+        # the (d, m) draw fills row by row, so fewer coordinates are a prefix
+        two = sample_features(m, 2, 1.0, seed=57).omegas
+        four = sample_features(m, 4, 1.0, seed=57).omegas
+        assert two.tobytes() == four[:, :2].tobytes()
+
+    @pytest.mark.parametrize("m", [1, CHUNK + 1, 200_000])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5])
+    def test_planar_pair_matches_zero_padded_pair(self, m, s):
+        u1, u2 = pair_with_similarity(2, s)
+        p1, p2 = pair_with_similarity(4, s)
+        est2 = kernel_estimate(u1, u2, sample_features(m, 2, 2.0, seed=58))
+        est4 = kernel_estimate(p1, p2, sample_features(m, 4, 2.0, seed=58))
+        assert same_bits(est2, est4)
+
+    def test_identical_inputs_still_checked(self):
+        fmap = sample_features(16, 2, 1.0, seed=59)
+        v = np.array([1.0, 1.0])
+        with pytest.raises(ContractError, match="unit-norm"):
+            kernel_estimate(v, v.copy(), fmap)
+        w = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(ContractError, match="feature dim"):
+            kernel_estimate(w, w.copy(), fmap)
+
     @pytest.mark.parametrize("m", BOUNDARY_M)
     def test_kernel_and_imaginary_part(self, m):
         fmap = sample_features(m, 4, 2.0, seed=52)
         u1, u2 = unit_rows(53, 2, 4)
         for a, b in ((u1, u2), (u1, u1.copy())):
             proj = (fmap.omegas @ (a - b)) * math.sqrt(fmap.tau)
-            assert kernel_estimate(a, b, fmap) == reference_estimate(np.cos(proj), math.exp(2.0))
+            assert same_bits(
+                kernel_estimate(a, b, fmap), reference_estimate(np.cos(proj), math.exp(2.0))
+            )
             assert imaginary_part_estimate(a, b, fmap) == float(np.sin(proj).mean())
 
     @pytest.mark.parametrize("m", BOUNDARY_M)
