@@ -61,6 +61,7 @@ from .losses import (
 from .numerics import (
     AdamW,
     ParamBlock,
+    ParamStore,
     finite_difference_gradient,
     l2_normalize_rows,
     logsumexp,

@@ -19,7 +19,7 @@ import numpy as np
 from .encoders import EmbeddingBatch
 from .errors import ContractError, DegenerateInputError, DomainError
 from .net import Mlp
-from .numerics import Array, ParamBlock, row_logsumexp
+from .numerics import Array, ParamBlock, ParamStore, row_logsumexp
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +36,6 @@ class AmortizerParams:
     def blocks(self) -> list[ParamBlock]:
         return self.net.blocks()
 
-    def zero_grad(self) -> None:
-        self.net.zero_grad()
-
 
 @dataclass
 class TargetAmortizer:
@@ -54,12 +51,17 @@ def amortizer_hidden_dim(embed_dim: int, dim_factor: float) -> int:
 
 
 def init_amortizer(
-    embed_dim: int, dim_factor: float, modality: str, seed_key: tuple[int, ...]
+    embed_dim: int,
+    dim_factor: float,
+    modality: str,
+    seed_key: tuple[int, ...],
+    prefix: str = "amortizer",
 ) -> AmortizerParams:
+    """Draws keyed by seed_key; the blocks are named '{prefix}_{modality}/...'."""
     if embed_dim < 1 or dim_factor <= 0:
         raise ContractError(f"invalid amortizer sizes: d={embed_dim}, factor={dim_factor}")
     h = amortizer_hidden_dim(embed_dim, dim_factor)
-    net = Mlp([embed_dim, h, h, 1], f"amortizer_{modality}", seed_key=seed_key)
+    net = Mlp([embed_dim, h, h, 1], f"{prefix}_{modality}", seed_key=seed_key)
     return AmortizerParams(net=net, modality=modality)
 
 
@@ -90,17 +92,14 @@ def amortize_backward(cache: AmortizeCache, upstream) -> None:
     cache.net.backward(cache.acts, g)
 
 
-def ema_update(target: TargetAmortizer, online: AmortizerParams, alpha: float) -> None:
-    """theta_hat <- alpha * theta_hat + (1 - alpha) * theta, elementwise."""
+def ema_update(target: ParamStore, online: ParamStore, alpha: float) -> None:
+    """theta_hat <- alpha * theta_hat + (1 - alpha) * theta, elementwise over
+    two stores of the same layout."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"EMA decay must lie in [0, 1], got {alpha}")
-    for t_blk, o_blk in zip(target.ema.blocks(), online.blocks()):
-        if t_blk.value.shape != o_blk.value.shape:
-            raise ContractError(
-                f"{t_blk.name}: shape {t_blk.value.shape} != online {o_blk.value.shape}"
-            )
-        t_blk.value *= alpha
-        t_blk.value += (1.0 - alpha) * o_blk.value
+    target.check_layout(online)
+    target.value *= alpha
+    target.value += (1.0 - alpha) * online.value
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,6 @@ class EncoderParams:
             out.extend(self.nets[m].blocks())
         return out
 
-    def zero_grad(self) -> None:
-        for blk in self.blocks():
-            blk.zero_grad()
-
     @property
     def embed_dim(self) -> int:
         return self.nets[MODALITIES[0]].dims[-1]

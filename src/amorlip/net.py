@@ -68,22 +68,6 @@ class Mlp:
             out.append(b)
         return out
 
-    def zero_grad(self) -> None:
-        for blk in self.blocks():
-            blk.zero_grad()
-
-    def copy(self, name: str | None = None) -> "Mlp":
-        return Mlp.from_arrays(name or self.name, [blk.value.copy() for blk in self.blocks()])
-
-    def load_values(self, other: "Mlp") -> None:
-        """Copy parameter values from another network of identical shape."""
-        for mine, theirs in zip(self.blocks(), other.blocks()):
-            if mine.value.shape != theirs.value.shape:
-                raise ContractError(
-                    f"{mine.name}: shape {mine.value.shape} != {theirs.value.shape}"
-                )
-            mine.value[...] = theirs.value
-
     def forward(self, x) -> tuple[Array, list[Array]]:
         """Returns (output, activations). activations[0] is the input, then
         each layer's post-activation output; the cache feeds backward()."""

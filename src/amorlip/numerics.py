@@ -83,7 +83,8 @@ def l2_normalize_rows(mat) -> tuple[Array, Callable[[Array], Array]]:
 class ParamBlock:
     """A named 2-D parameter matrix with an explicitly managed gradient.
 
-    Gradients accumulate additively; they are cleared only by zero_grad().
+    Gradients accumulate additively; they are cleared only by the
+    zero_grad() of the ParamStore that holds the block.
     """
 
     name: str
@@ -103,103 +104,145 @@ class ParamBlock:
                     f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
                 )
 
+
+class ParamStore:
+    """Flat float64 value and grad arrays over a fixed list of ParamBlocks.
+
+    On construction each block's value and grad are copied in, and the
+    block is rebound to views of the flat arrays, so arithmetic over the
+    whole group (an optimizer step, an EMA, a copy between stores of the
+    same layout) is a handful of vectorized operations. layout maps each
+    name to its (offset, shape). Blocks outside no_decay are laid out
+    first, so weight decay touches the leading n_decay entries. blocks
+    keeps the given order.
+    """
+
+    def __init__(self, blocks: Sequence[ParamBlock], no_decay: Iterable[str] = ()):
+        self.blocks = list(blocks)
+        names = [b.name for b in self.blocks]
+        if len(set(names)) != len(names):
+            raise ContractError(f"duplicate parameter block names in {names}")
+        no_decay = set(no_decay)
+        ordered = sorted(self.blocks, key=lambda b: b.name in no_decay)  # decayed first, stable
+        self.n_decay = sum(b.value.size for b in self.blocks if b.name not in no_decay)
+        total = sum(b.value.size for b in self.blocks)
+        self.value = np.empty(total)
+        self.grad = np.empty(total)
+        self.layout: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self._grads: list[tuple[ParamBlock, Array]] = []
+        off = 0
+        for b in ordered:
+            self.layout[b.name] = (off, b.value.shape)
+            off += b.value.size
+            value, grad = self.view(self.value, b.name), self.view(self.grad, b.name)
+            value[...] = b.value
+            grad[...] = b.grad
+            b.value, b.grad = value, grad
+            self._grads.append((b, grad))
+
+    def view(self, flat: Array, name: str) -> Array:
+        """Block name's slice of a flat array laid out like this store."""
+        off, shape = self.layout[name]
+        return flat[off : off + math.prod(shape)].reshape(shape)
+
+    def check_layout(self, other: "ParamStore") -> None:
+        """Require the same block shapes at the same offsets; names may differ."""
+        mine = [shape for _, shape in self.layout.values()]
+        theirs = [shape for _, shape in other.layout.values()]
+        if mine != theirs:
+            raise ContractError(f"parameter store layouts differ: {mine} vs {theirs}")
+
+    def load(self, other: "ParamStore") -> None:
+        """Copy the values of a store with the same layout."""
+        self.check_layout(other)
+        self.value[...] = other.value
+
+    def check_views(self) -> None:
+        """Require every block's grad to still be its view of the store."""
+        for b, grad in self._grads:
+            if b.grad is not grad:
+                raise ContractError(f"{b.name}: grad was rebound away from its parameter store")
+
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
 
 class AdamW:
-    """Adam with decoupled weight decay over a fixed list of ParamBlocks.
+    """Adam with decoupled weight decay over a ParamStore.
 
-    weight_decay = 0 reproduces plain Adam. Decay is skipped for blocks
-    whose names appear in no_decay (biases, temperature, ...).
-
-    The optimizer owns one flat float64 store per quantity (values,
-    gradients, first and second moments). On construction each block's
-    value and grad are rebound to views of that store, and m[name] and
-    v[name] are views of the moment stores, so a step is a handful of
-    vectorized operations over the whole group. Decayed blocks are laid
-    out first, so weight decay touches one leading slice.
+    weight_decay = 0 reproduces plain Adam; otherwise decay applies to the
+    store's leading n_decay entries, the blocks outside its no_decay set.
+    m[name] and v[name] are views of flat moment arrays laid out like the
+    store, so a step is a handful of vectorized operations over the whole
+    group. A step that overflows raises DomainError.
     """
 
     def __init__(
         self,
-        blocks: Sequence[ParamBlock],
+        store: ParamStore,
         lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        no_decay: Iterable[str] = (),
     ):
         if lr <= 0:
             raise DomainError(f"learning rate must be positive, got {lr}")
-        self.blocks = list(blocks)
+        self.store = store
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.no_decay = set(no_decay)
-        names = [b.name for b in self.blocks]
-        if len(set(names)) != len(names):
-            raise ContractError(f"duplicate parameter block names in {names}")
-        decayed = {n for n in names if self.weight_decay != 0.0 and n not in self.no_decay}
-        layout = sorted(self.blocks, key=lambda b: b.name not in decayed)  # decayed first, stable
-        self._n_decay = sum(b.value.size for b in self.blocks if b.name in decayed)
-        total = sum(b.value.size for b in self.blocks)
-        self._value = np.empty(total)
-        self._grad = np.empty(total)
+        total = store.value.size
         self._m = np.zeros(total)
         self._v = np.zeros(total)
         self._s1 = np.empty(total)
         self._s2 = np.empty(total)
-        self.m: dict[str, Array] = {}
-        self.v: dict[str, Array] = {}
-        self._grad_views: list[tuple[ParamBlock, Array]] = []
-        off = 0
-        for b in layout:
-            end = off + b.value.size
-            value = self._value[off:end].reshape(b.value.shape)
-            grad = self._grad[off:end].reshape(b.value.shape)
-            value[...] = b.value
-            grad[...] = b.grad
-            b.value, b.grad = value, grad
-            self.m[b.name] = self._m[off:end].reshape(b.value.shape)
-            self.v[b.name] = self._v[off:end].reshape(b.value.shape)
-            self._grad_views.append((b, grad))
-            off = end
+        self.m = {name: store.view(self._m, name) for name in store.layout}
+        self.v = {name: store.view(self._v, name) for name in store.layout}
         self.t = 0
 
-    def zero_grad(self) -> None:
-        self._grad.fill(0.0)
+    @property
+    def blocks(self) -> list[ParamBlock]:
+        return self.store.blocks
+
+    def reset(self) -> None:
+        """Zero the moments and the step count, the state of a new optimizer."""
+        self._m.fill(0.0)
+        self._v.fill(0.0)
+        self.t = 0
 
     def step(self) -> None:
-        for b, grad in self._grad_views:
-            if b.grad is not grad:
-                raise ContractError(f"{b.name}: grad was rebound away from the optimizer's store")
+        self.store.check_views()
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        value, g, m, v, s1, s2 = self._value, self._grad, self._m, self._v, self._s1, self._s2
-        d = self._n_decay
-        if d:
-            np.multiply(value[:d], self.lr * self.weight_decay, out=s1[:d])
-            value[:d] -= s1[:d]
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s1)
-        m += s1
-        v *= self.beta2
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - self.beta2
-        v += s1
-        # value -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
-        np.divide(m, c1, out=s1)
-        s1 *= self.lr
-        np.divide(v, c2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += self.eps
-        s1 /= s2
-        value -= s1
+        value, g, m, v = self.store.value, self.store.grad, self._m, self._v
+        s1, s2 = self._s1, self._s2
+        d = self.store.n_decay if self.weight_decay != 0.0 else 0
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if d:
+                    np.multiply(value[:d], self.lr * self.weight_decay, out=s1[:d])
+                    value[:d] -= s1[:d]
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=s1)
+                m += s1
+                v *= self.beta2
+                np.multiply(g, g, out=s1)
+                s1 *= 1.0 - self.beta2
+                v += s1
+                # value -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+                np.divide(m, c1, out=s1)
+                s1 *= self.lr
+                np.divide(v, c2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += self.eps
+                s1 /= s2
+                value -= s1
+        except FloatingPointError as exc:
+            raise DomainError(f"optimizer step {self.t} is not finite ({exc})") from None
 
 
 def finite_difference_gradient(f: Callable[[Array], float], x, h: float = 1e-6) -> Array:

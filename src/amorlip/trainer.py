@@ -51,7 +51,7 @@ from .errors import ConfigError, ContractError, DomainError, FormatError, Traini
 from .evaluation import partition_error, partition_gap_stats
 from .losses import RhoSchedule, amortized_mle_loss, nce_loss, rho_at, temperature_rescale
 from .net import Mlp
-from .numerics import AdamW, Array
+from .numerics import AdamW, Array, ParamStore
 
 AMORTIZER_INIT_SALT = 2001
 AMORTIZER_REINIT_SALT = 5501
@@ -192,7 +192,11 @@ class TrainState:
     online: dict[str, AmortizerParams] | None
     targets: dict[str, TargetAmortizer] | None
     opt_encoder: AdamW
+    # the online amortizers of both modalities share opt_amortizer's store;
+    # the EMA and previous-epoch amortizers have stores of the same layout
     opt_amortizer: AdamW | None
+    ema_store: ParamStore | None
+    prev_store: ParamStore | None
     epoch: int = 0
     step_in_epoch: int = 0
     global_step: int = 0
@@ -224,8 +228,15 @@ class MetricsWriter:
         self.close()
 
 
-def _copy_amortizer(src: AmortizerParams, net_name: str) -> AmortizerParams:
-    return AmortizerParams(net=src.net.copy(name=net_name), modality=src.modality)
+def _draw_amortizers(cfg: TrainConfig, prefix: str, *key: int) -> dict[str, AmortizerParams]:
+    return {
+        m: init_amortizer(cfg.embed_dim, cfg.f_d, m, (cfg.seed, *key, i), prefix)
+        for i, m in enumerate(MODALITIES)
+    }
+
+
+def _store(amortizers: dict[str, AmortizerParams]) -> ParamStore:
+    return ParamStore([b for m in MODALITIES for b in amortizers[m].blocks()])
 
 
 def init_train_state(cfg: TrainConfig, ds: PairedDataset) -> TrainState:
@@ -243,24 +254,21 @@ def init_train_state(cfg: TrainConfig, ds: PairedDataset) -> TrainState:
     no_decay = {b.name for net in encoders.nets.values() for b in net.biases}
     no_decay.add(temperature.block.name)
     opt_encoder = AdamW(
-        encoders.blocks() + [temperature.block],
+        ParamStore(encoders.blocks() + [temperature.block], no_decay),
         lr=cfg.lr_encoder,
         weight_decay=cfg.weight_decay,
-        no_decay=no_decay,
     )
-    online = targets = None
-    opt_amortizer = None
+    online = targets = opt_amortizer = ema_store = prev_store = None
     if cfg.method == "amorlip":
-        online = {}
-        targets = {}
-        for i, m in enumerate(MODALITIES):
-            onl = init_amortizer(cfg.embed_dim, cfg.f_d, m, (cfg.seed, AMORTIZER_INIT_SALT, i))
-            online[m] = onl
-            targets[m] = TargetAmortizer(
-                ema=_copy_amortizer(onl, f"target_{m}"),
-                prev_epoch=_copy_amortizer(onl, f"prev_{m}"),
-            )
-        opt_amortizer = _fresh_amortizer_optimizer(cfg, online)
+        # three identical draws: the previous-epoch snapshot of epoch 1
+        # holds them, the epoch-1 rotation overwrites the other two
+        online, ema, prev = (
+            _draw_amortizers(cfg, prefix, AMORTIZER_INIT_SALT)
+            for prefix in ("amortizer", "target", "prev")
+        )
+        targets = {m: TargetAmortizer(ema=ema[m], prev_epoch=prev[m]) for m in MODALITIES}
+        opt_amortizer = AdamW(_store(online), lr=cfg.lr_amortizer)
+        ema_store, prev_store = _store(ema), _store(prev)
     return TrainState(
         config=cfg,
         encoders=encoders,
@@ -269,30 +277,20 @@ def init_train_state(cfg: TrainConfig, ds: PairedDataset) -> TrainState:
         targets=targets,
         opt_encoder=opt_encoder,
         opt_amortizer=opt_amortizer,
+        ema_store=ema_store,
+        prev_store=prev_store,
     )
 
 
-def _fresh_amortizer_optimizer(cfg: TrainConfig, online: dict[str, AmortizerParams]) -> AdamW:
-    blocks = []
-    for m in MODALITIES:
-        blocks.extend(online[m].blocks())
-    return AdamW(blocks, lr=cfg.lr_amortizer, weight_decay=0.0)
-
-
 def _rotate_and_reinit(state: TrainState, epoch: int) -> None:
-    """Epoch boundary: freeze the current target as the previous-epoch
-    snapshot, then re-initialize the online and target networks with fresh
-    draws keyed by (seed, epoch)."""
-    cfg = state.config
-    for i, m in enumerate(MODALITIES):
-        tgt = state.targets[m]
-        tgt.prev_epoch.net.load_values(tgt.ema.net)
-        fresh = init_amortizer(
-            cfg.embed_dim, cfg.f_d, m, (cfg.seed, AMORTIZER_REINIT_SALT, epoch, i)
-        )
-        state.online[m] = fresh
-        tgt.ema.net.load_values(fresh.net)
-    state.opt_amortizer = _fresh_amortizer_optimizer(cfg, state.online)
+    """Epoch boundary: freeze the EMA target as the previous-epoch snapshot,
+    write fresh draws keyed by (seed, epoch) into the online amortizers,
+    restart the EMA target from them and reset the amortizer optimizer."""
+    online = state.opt_amortizer.store
+    state.prev_store.load(state.ema_store)
+    online.load(_store(_draw_amortizers(state.config, "amortizer", AMORTIZER_REINIT_SALT, epoch)))
+    state.ema_store.load(online)
+    state.opt_amortizer.reset()
 
 
 def _embed(state: TrainState, ds: PairedDataset, idx: Array):
@@ -309,6 +307,10 @@ def _exact_log_z(emb: dict[str, EmbeddingBatch], tau: float, include_positive: b
         m: exact_partition(emb[m], emb[mp], tau, include_positive).log_z_exact
         for m, mp in (("a", "b"), ("b", "a"))
     }
+
+
+def _target_log_lam(state: TrainState, emb: dict[str, EmbeddingBatch]) -> dict[str, Array]:
+    return {m: amortize_forward(state.targets[m].ema, emb[m])[0] for m in MODALITIES}
 
 
 def _median_abs_gap(log_lam: dict[str, Array], log_z: dict[str, Array]) -> float:
@@ -341,7 +343,7 @@ def _amortization_stage(
         }
     for _ in range(cfg.t_lambda):
         total = 0.0
-        state.opt_amortizer.zero_grad()
+        state.opt_amortizer.store.zero_grad()
         for m in MODALITIES:
             if cfg.objective == "l2log":
                 total += loss_l2log(state.online[m], emb[m], log_zema[m])
@@ -394,24 +396,37 @@ def run_training(
     log-gap diagnostic on logged steps (and on the way out of a divergence,
     so the snapshot carries it). None of it feeds the stage-II update, so
     the trajectory does not depend on what is logged.
+
+    A non-finite loss, or a DomainError anywhere in a step (an overflowing
+    optimizer step, divergence weight or amortizer output), ends the run
+    with a TrainingDivergence carrying the step's snapshot. For "amorlip",
+    t_online and t_target above the steps per epoch are a ConfigError.
     """
     cfg.validate()
     amortized = cfg.method == "amorlip"
     train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
     if train_ds.n < cfg.batch_size:
         raise ConfigError("training split smaller than one batch")
-    state = start_state if start_state is not None else init_train_state(cfg, ds)
     steps_per_epoch = train_ds.n // cfg.batch_size
+    for key in ("t_online", "t_target"):
+        # a longer cadence never fires: the amortizers or the EMA never move
+        if amortized and getattr(cfg, key) > steps_per_epoch:
+            raise ConfigError(
+                f"config key {key!r} must be at most the {steps_per_epoch} steps per epoch,"
+                f" got {getattr(cfg, key)}"
+            )
+    state = start_state if start_state is not None else init_train_state(cfg, ds)
     total_steps = steps_per_epoch * cfg.epochs
     sched = cfg.rho_schedule()
     wall_start = time.perf_counter()
 
     def diverged(message: str) -> TrainingDivergence:
-        # reads the failing step's locals; an unlogged amortized step
-        # computes the gap here, so the snapshot always carries it
-        if amortized and snapshot["median_abs_log_z_err"] is None:
+        # reads the failing step's locals; a step that did not log the gap
+        # computes it here, so the snapshot always carries it
+        if amortized and snapshot.get("median_abs_log_z_err") is None:
             exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
-            snapshot["median_abs_log_z_err"] = _median_abs_gap(log_lam, exact)
+            lam = log_lam or _target_log_lam(state, emb)
+            snapshot["median_abs_log_z_err"] = _median_abs_gap(lam, exact)
         return TrainingDivergence(message, snapshot)
 
     for t in range(max(state.epoch, 1), cfg.epochs + 1):
@@ -435,40 +450,39 @@ def run_training(
             emb, caches = _embed(state, train_ds, idx)
             logged = metrics is not None and _should_log(cfg, state.global_step, total_steps)
             snapshot = {"step": state.global_step, "epoch": t, "tau": tau}
-            amor_loss = median_err = None
-            if amortized:
-                amortizing = k % cfg.t_online == 0
-                # exact partitions feed the amortization stage and the logged gap only
-                log_z = None
-                if amortizing or logged:
-                    log_z = _exact_log_z(emb, tau, cfg.include_positive)
-                if amortizing:
-                    amor_loss = _amortization_stage(state, emb, log_z, tau, beta_t)
-                    state.gather_count += 1
-                if k % cfg.t_target == 0:
-                    for m in MODALITIES:
-                        ema_update(state.targets[m], state.online[m], cfg.alpha)
-                log_lam = {m: amortize_forward(state.targets[m].ema, emb[m])[0] for m in MODALITIES}
-                median_err = _median_abs_gap(log_lam, log_z) if logged else None
-                snapshot.update(amor_loss=amor_loss, median_abs_log_z_err=median_err)
-                try:
+            amor_loss = median_err = log_z = log_lam = None
+            try:
+                if amortized:
+                    amortizing = k % cfg.t_online == 0
+                    # exact partitions feed the amortization stage and the logged gap only
+                    if amortizing or logged:
+                        log_z = _exact_log_z(emb, tau, cfg.include_positive)
+                    if amortizing:
+                        amor_loss = _amortization_stage(state, emb, log_z, tau, beta_t)
+                        state.gather_count += 1
+                    if k % cfg.t_target == 0:
+                        ema_update(state.ema_store, state.opt_amortizer.store, cfg.alpha)
+                    log_lam = _target_log_lam(state, emb)
+                    median_err = _median_abs_gap(log_lam, log_z) if logged else None
+                    snapshot.update(amor_loss=amor_loss, median_abs_log_z_err=median_err)
                     raw = amortized_mle_loss(emb["a"], emb["b"], tau, log_lam["a"], log_lam["b"])
-                except DomainError as exc:
-                    raise diverged(str(exc)) from exc
-            else:
-                state.gather_count += 1
-                raw = nce_loss(emb["a"], emb["b"], tau)
-            rescaled = temperature_rescale(raw, tau, rho)
-            snapshot.update(stage2_loss_raw=raw.value, stage2_loss_rescaled=rescaled.value)
-            for value, what in ((raw.value, "stage-II loss"), (amor_loss, "amortization loss")):
-                if value is not None and not math.isfinite(value):
-                    raise diverged(f"non-finite {what} at step {state.global_step}")
+                else:
+                    state.gather_count += 1
+                    raw = nce_loss(emb["a"], emb["b"], tau)
+                rescaled = temperature_rescale(raw, tau, rho)
+                snapshot.update(stage2_loss_raw=raw.value, stage2_loss_rescaled=rescaled.value)
+                for value, what in ((raw.value, "stage-II loss"), (amor_loss, "amortization loss")):
+                    if value is not None and not math.isfinite(value):
+                        raise diverged(f"non-finite {what} at step {state.global_step}")
 
-            state.opt_encoder.zero_grad()
-            encoder_backward(caches["a"], rescaled.grad_a)
-            encoder_backward(caches["b"], rescaled.grad_b)
-            state.temperature.accumulate_tau_grad(rescaled.tau_grad)
-            state.opt_encoder.step()
+                state.opt_encoder.store.zero_grad()
+                encoder_backward(caches["a"], rescaled.grad_a)
+                encoder_backward(caches["b"], rescaled.grad_b)
+                state.temperature.accumulate_tau_grad(rescaled.tau_grad)
+                state.opt_encoder.step()
+            except DomainError as exc:
+                # a numerical failure anywhere in the step, an optimizer overflow included
+                raise diverged(str(exc)) from exc
             state.temperature.clamp()
             state.step_in_epoch = k
 
@@ -523,34 +537,31 @@ def run_clip_baseline(
 # checkpoints (AMCK1)
 
 
-def _optimizer_blocks(tag: str, opt: AdamW) -> list[tuple[str, Array]]:
-    out: list[tuple[str, Array]] = []
-    for b in opt.blocks:
-        out.append((f"{tag}/m/{b.name}", opt.m[b.name]))
-        out.append((f"{tag}/v/{b.name}", opt.v[b.name]))
-    out.append((f"{tag}/t", np.array([[float(opt.t)]])))
-    return out
-
-
 def _scalar(value: float) -> Array:
     return np.array([[float(value)]])
 
 
-def state_blocks(state: TrainState) -> list[tuple[str, Array]]:
-    """Named 2-D float64 payloads, in a fixed order."""
-    out: list[tuple[str, Array]] = [(b.name, b.value) for b in state.encoders.blocks()]
-    out.append((state.temperature.block.name, state.temperature.block.value))
-    if state.online is not None:
-        for group in (
-            [state.online[m] for m in MODALITIES],
-            [state.targets[m].ema for m in MODALITIES],
-            [state.targets[m].prev_epoch for m in MODALITIES],
-        ):
-            for amor in group:
-                out.extend((b.name, b.value) for b in amor.blocks())
-    out.extend(_optimizer_blocks("opt_enc", state.opt_encoder))
+def _optimizers(state: TrainState) -> list[tuple[str, AdamW]]:
+    out = [("opt_enc", state.opt_encoder)]
     if state.opt_amortizer is not None:
-        out.extend(_optimizer_blocks("opt_amor", state.opt_amortizer))
+        out.append(("opt_amor", state.opt_amortizer))
+    return out
+
+
+def state_blocks(state: TrainState) -> list[tuple[str, Array]]:
+    """Named 2-D float64 payloads, in a fixed order: the encoders and the
+    temperature, the online, EMA and previous-epoch amortizers, each
+    optimizer's moments and step, then the counters and run metadata.
+    Parameters and moments are views into the state."""
+    stores = [state.opt_encoder.store]
+    if state.opt_amortizer is not None:
+        stores += [state.opt_amortizer.store, state.ema_store, state.prev_store]
+    out: list[tuple[str, Array]] = [(b.name, b.value) for store in stores for b in store.blocks]
+    for tag, opt in _optimizers(state):
+        for b in opt.blocks:
+            out.append((f"{tag}/m/{b.name}", opt.m[b.name]))
+            out.append((f"{tag}/v/{b.name}", opt.v[b.name]))
+        out.append((f"{tag}/t", _scalar(opt.t)))
     out.extend(
         [
             ("meta/epoch", _scalar(state.epoch)),
@@ -636,15 +647,6 @@ def _load_into(block_values: dict[str, Array], name: str, dest: Array) -> None:
     dest[...] = src
 
 
-def _load_optimizer(block_values: dict[str, Array], tag: str, opt: AdamW) -> None:
-    for b in opt.blocks:
-        _load_into(block_values, f"{tag}/m/{b.name}", opt.m[b.name])
-        _load_into(block_values, f"{tag}/v/{b.name}", opt.v[b.name])
-    if f"{tag}/t" not in block_values:
-        raise ContractError(f"checkpoint is missing block '{tag}/t'")
-    opt.t = int(block_values[f"{tag}/t"][0, 0])
-
-
 def restore_train_state(cfg: TrainConfig, ds: PairedDataset, path) -> TrainState:
     """Rebuild a TrainState for resumption; cfg must match the saved run."""
     blocks = checkpoint_load_blocks(path)
@@ -652,30 +654,12 @@ def restore_train_state(cfg: TrainConfig, ds: PairedDataset, path) -> TrainState
     if method != cfg.method:
         raise ConfigError(f"checkpoint was written by method {method!r}, config says {cfg.method!r}")
     state = init_train_state(cfg, ds)
-    for b in state.encoders.blocks():
-        _load_into(blocks, b.name, b.value)
-    _load_into(blocks, state.temperature.block.name, state.temperature.block.value)
-    if state.online is not None:
-        for m in MODALITIES:
-            for b in state.online[m].blocks():
-                _load_into(blocks, b.name, b.value)
-            for b in state.targets[m].ema.blocks():
-                _load_into(blocks, b.name, b.value)
-            for b in state.targets[m].prev_epoch.blocks():
-                _load_into(blocks, b.name, b.value)
-    _load_optimizer(blocks, "opt_enc", state.opt_encoder)
-    if state.opt_amortizer is not None:
-        _load_optimizer(blocks, "opt_amor", state.opt_amortizer)
-
-    def meta(name: str) -> int:
-        if name not in blocks:
-            raise ContractError(f"checkpoint is missing block {name!r}")
-        return int(blocks[name][0, 0])
-
-    state.epoch = meta("meta/epoch")
-    state.step_in_epoch = meta("meta/step_in_epoch")
-    state.global_step = meta("meta/global_step")
-    state.gather_count = meta("meta/gather_count")
+    for name, dest in state_blocks(state):
+        _load_into(blocks, name, dest)  # parameters and moments load in place
+    for tag, opt in _optimizers(state):
+        opt.t = int(blocks[f"{tag}/t"][0, 0])
+    for key in ("epoch", "step_in_epoch", "global_step", "gather_count"):
+        setattr(state, key, int(blocks[f"meta/{key}"][0, 0]))
     return state
 
 
@@ -781,14 +765,8 @@ def amortizer_fidelity_experiment(
         "b": exact_partition(emb["b"], emb["a"], tau, include_positive=True).log_z_exact,
     }
 
-    online = {
-        m: init_amortizer(cfg.embed_dim, cfg.f_d, m, (cfg.seed, FIDELITY_SALT, i))
-        for i, m in enumerate(MODALITIES)
-    }
-    blocks = []
-    for m in MODALITIES:
-        blocks.extend(online[m].blocks())
-    opt = AdamW(blocks, lr=amortizer_lr, weight_decay=0.0)
+    online = _draw_amortizers(cfg, "amortizer", FIDELITY_SALT)
+    opt = AdamW(_store(online), lr=amortizer_lr)
 
     total_steps = invocations * cfg.t_lambda
     done = 0
@@ -804,7 +782,7 @@ def amortizer_fidelity_experiment(
                     online[m].net.biases[-1].value[0, 0] = float(np.mean(targets[m][idx]))
             opt.lr = amortizer_lr * 0.5 * (1.0 + math.cos(math.pi * done / total_steps))
             loss = 0.0
-            opt.zero_grad()
+            opt.store.zero_grad()
             for m in MODALITIES:
                 view = EmbeddingBatch(emb[m].data[idx], m)
                 loss += loss_l2log(online[m], view, targets[m][idx])

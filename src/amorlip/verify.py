@@ -10,13 +10,12 @@ passes only if every check passes. All randomness is seeded.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from .amortization import (
     GENERATORS,
-    AmortizerParams,
-    TargetAmortizer,
     amortize_backward,
     amortize_forward,
     beta_schedule,
@@ -41,6 +40,7 @@ from .losses import (
 from .numerics import (
     Array,
     ParamBlock,
+    ParamStore,
     finite_difference_gradient,
     gradcheck_error,
     seeded_rng,
@@ -57,26 +57,6 @@ GRAD_TOL = 1e-5
 # the largest --features the spectral suite takes: its partition check
 # draws an (M, 4) float64 array, 320 MB at this bound
 MAX_FEATURES = 10_000_000
-
-
-# ---------------------------------------------------------------------------
-# parameter flattening helpers (shared with the test suite)
-
-
-def flatten_blocks(blocks: list[ParamBlock]) -> Array:
-    return np.concatenate([b.value.ravel() for b in blocks])
-
-
-def set_blocks_from_flat(blocks: list[ParamBlock], flat: Array) -> None:
-    off = 0
-    for b in blocks:
-        size = b.value.size
-        b.value[...] = flat[off : off + size].reshape(b.value.shape)
-        off += size
-
-
-def flatten_grads(blocks: list[ParamBlock]) -> Array:
-    return np.concatenate([b.grad.ravel() for b in blocks])
 
 
 def _check(name: str, value: float, tolerance, ok: bool) -> dict:
@@ -147,6 +127,23 @@ def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
     return gradcheck_error(analytic, numeric)
 
 
+def _gradcheck_params(
+    blocks: list[ParamBlock], value: Callable[[], float], backward: Callable[[], None]
+) -> float:
+    """FD check of value() over the blocks' parameters against the
+    gradient that backward() accumulates into them."""
+    store = ParamStore(blocks)
+    x0 = store.value.copy()
+
+    def f(flat: Array) -> float:
+        store.value[...] = flat
+        return value()
+
+    store.zero_grad()
+    backward()
+    return gradcheck_error(store.grad, finite_difference_gradient(f, x0, FD_STEP))
+
+
 def _gradcheck_amortizer_loss(objective: str, seed: int) -> float:
     """FD check over the amortizer parameters for one amortization loss."""
     rng = seeded_rng(9200, seed)
@@ -157,35 +154,29 @@ def _gradcheck_amortizer_loss(objective: str, seed: int) -> float:
     tau = float(rng.uniform(0.5, 2.0))
     log_z = exact_partition(emb, other, tau).log_z_exact
     theta = init_amortizer(d, 0.5, "a", (seed, 9201))
-    blocks = theta.blocks()
-    x0 = flatten_blocks(blocks)
-
     if objective == "l2log":
-        weights = None
-        gen = None
+
+        def loss(log_lam: Array) -> tuple[float, Array]:
+            return loss_l2log_values(log_lam, log_z)
+
+        def backward() -> None:
+            loss_l2log(theta, emb, log_z)
+
     else:
         gen = GENERATORS[objective]
         weights = fdiv_weights(emb.data @ other.data.T, tau, log_z)
 
-    def f(flat: Array) -> float:
-        set_blocks_from_flat(blocks, flat)
-        log_lam, _ = amortize_forward(theta, emb)
-        if objective == "l2log":
-            return loss_l2log_values(log_lam, log_z)[0]
-        return loss_fdiv_values(log_lam, log_z, gen, weights)[0]
+        def loss(log_lam: Array) -> tuple[float, Array]:
+            return loss_fdiv_values(log_lam, log_z, gen, weights)
 
-    set_blocks_from_flat(blocks, x0)
-    theta.zero_grad()
-    if objective == "l2log":
-        loss_l2log(theta, emb, log_z)
-    else:
-        # the path the trainer takes for the divergence objective
-        log_lam, cache = amortize_forward(theta, emb)
-        amortize_backward(cache, loss_fdiv_values(log_lam, log_z, gen, weights)[1])
-    analytic = flatten_grads(blocks)
-    numeric = finite_difference_gradient(f, x0, FD_STEP)
-    set_blocks_from_flat(blocks, x0)
-    return gradcheck_error(analytic, numeric)
+        def backward() -> None:
+            # the path the trainer takes for the divergence objective
+            log_lam, cache = amortize_forward(theta, emb)
+            amortize_backward(cache, loss(log_lam)[1])
+
+    return _gradcheck_params(
+        theta.blocks(), lambda: loss(amortize_forward(theta, emb)[0])[0], backward
+    )
 
 
 def _gradcheck_encoder(seed: int) -> float:
@@ -197,22 +188,11 @@ def _gradcheck_encoder(seed: int) -> float:
     params = init_encoders(dim_in, hidden=6, depth=1, embed_dim=d, seed=seed)
     x = rng.standard_normal((n, dim_in["a"]))
     probe = rng.standard_normal((n, d))
-    blocks = params.nets["a"].blocks()
-    x0 = flatten_blocks(blocks)
-
-    def f(flat: Array) -> float:
-        set_blocks_from_flat(blocks, flat)
-        emb, _ = encode(params, x, "a")
-        return float(np.sum(emb.data * probe))
-
-    set_blocks_from_flat(blocks, x0)
-    params.zero_grad()
-    _, cache = encode(params, x, "a")
-    encoder_backward(cache, probe)
-    analytic = flatten_grads(blocks)
-    numeric = finite_difference_gradient(f, x0, FD_STEP)
-    set_blocks_from_flat(blocks, x0)
-    return gradcheck_error(analytic, numeric)
+    return _gradcheck_params(
+        params.nets["a"].blocks(),
+        lambda: float(np.sum(encode(params, x, "a")[0].data * probe)),
+        lambda: encoder_backward(encode(params, x, "a")[1], probe),
+    )
 
 
 def _gradcheck_amortize_forward(seed: int) -> float:
@@ -223,22 +203,11 @@ def _gradcheck_amortize_forward(seed: int) -> float:
     emb = _unit_batch(rng, n, d, "a")
     probe = rng.standard_normal(n)
     theta = init_amortizer(d, 0.75, "a", (seed, 9401))
-    blocks = theta.blocks()
-    x0 = flatten_blocks(blocks)
-
-    def f(flat: Array) -> float:
-        set_blocks_from_flat(blocks, flat)
-        log_lam, _ = amortize_forward(theta, emb)
-        return float(np.dot(log_lam, probe))
-
-    set_blocks_from_flat(blocks, x0)
-    theta.zero_grad()
-    log_lam, cache = amortize_forward(theta, emb)
-    amortize_backward(cache, probe)
-    analytic = flatten_grads(blocks)
-    numeric = finite_difference_gradient(f, x0, FD_STEP)
-    set_blocks_from_flat(blocks, x0)
-    return gradcheck_error(analytic, numeric)
+    return _gradcheck_params(
+        theta.blocks(),
+        lambda: float(np.dot(amortize_forward(theta, emb)[0], probe)),
+        lambda: amortize_backward(amortize_forward(theta, emb)[1], probe),
+    )
 
 
 def suite_gradcheck(instances: int = 20) -> list[dict]:
@@ -367,22 +336,18 @@ def suite_schedules() -> list[dict]:
 
     worst = 0.0
     for alpha in (0.92, 0.999):
-        online = init_amortizer(6, 0.5, "a", (1, 77))
-        target = TargetAmortizer(
-            ema=AmortizerParams(net=online.net.copy("ema"), modality="a"),
-            prev_epoch=AmortizerParams(net=online.net.copy("prev"), modality="a"),
+        online, target = (
+            ParamStore(init_amortizer(6, 0.5, "a", (1, 77), prefix).blocks())
+            for prefix in ("online", "ema")
         )
-        for blk in target.ema.blocks():
-            blk.value.fill(0.0)
-        for blk in online.blocks():
-            blk.value.fill(1.0)
+        target.value.fill(0.0)
+        online.value.fill(1.0)
         k = 50
         for _ in range(k):
             ema_update(target, online, alpha)
         expected = alpha**k
-        for blk in target.ema.blocks():
-            gap = np.abs(blk.value - 1.0)  # |theta_hat_k - theta| should be alpha^k
-            worst = max(worst, float(np.max(np.abs(gap - expected))) / expected)
+        gap = np.abs(target.value - 1.0)  # |theta_hat_k - theta| should be alpha^k
+        worst = max(worst, float(np.max(np.abs(gap - expected))) / expected)
     checks.append(_check("schedules/ema_geometric", worst, 1e-9, worst <= 1e-9))
 
     sched = RhoSchedule(6.5, -8.0, 0.75)

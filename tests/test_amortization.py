@@ -5,7 +5,6 @@ import pytest
 
 from amorlip.amortization import (
     GENERATORS,
-    TargetAmortizer,
     amortize_forward,
     beta_schedule,
     combined_target,
@@ -19,8 +18,7 @@ from amorlip.amortization import (
 )
 from amorlip.encoders import EmbeddingBatch
 from amorlip.errors import ContractError, DegenerateInputError, DomainError
-from amorlip.numerics import seeded_rng
-from amorlip.trainer import _copy_amortizer
+from amorlip.numerics import ParamStore, seeded_rng
 
 
 def unit_batch(rng, n, d, modality="a"):
@@ -179,56 +177,68 @@ class TestCombinedTarget:
 
 class TestEmaUpdate:
     def make_pair(self):
-        online = init_amortizer(5, 0.5, "a", (9, 1))
-        target = TargetAmortizer(
-            ema=_copy_amortizer(online, "ema"),
-            prev_epoch=_copy_amortizer(online, "prev"),
+        # the online and EMA stores of the trainer: both modalities, one layout
+        online, target = (
+            ParamStore(
+                [
+                    b
+                    for i, m in enumerate("ab")
+                    for b in init_amortizer(5, 0.5, m, (9, 1, i), prefix).blocks()
+                ]
+            )
+            for prefix in ("amortizer", "target")
         )
         return online, target
 
     def test_basic_blend(self):
         online, target = self.make_pair()
-        for blk in target.ema.blocks():
-            blk.value.fill(0.0)
-        for blk in online.blocks():
-            blk.value.fill(1.0)
+        target.value.fill(0.0)
+        online.value.fill(1.0)
         ema_update(target, online, 0.999)
-        for blk in target.ema.blocks():
-            np.testing.assert_allclose(blk.value, 0.001, rtol=1e-12)
+        np.testing.assert_allclose(target.value, 0.001, rtol=1e-12)
 
     def test_alpha_zero_copies(self):
         online, target = self.make_pair()
-        for blk in online.blocks():
-            blk.value += 3.0
+        online.value += 3.0
         ema_update(target, online, 0.0)
-        for t_blk, o_blk in zip(target.ema.blocks(), online.blocks()):
-            assert np.array_equal(t_blk.value, o_blk.value)
+        assert np.array_equal(target.value, online.value)
 
     def test_alpha_one_freezes(self):
         online, target = self.make_pair()
-        before = [blk.value.copy() for blk in target.ema.blocks()]
-        for blk in online.blocks():
-            blk.value += 3.0
+        before = target.value.copy()
+        online.value += 3.0
         ema_update(target, online, 1.0)
-        for blk, prev in zip(target.ema.blocks(), before):
-            assert np.array_equal(blk.value, prev)
+        assert np.array_equal(target.value, before)
 
     @pytest.mark.parametrize("alpha", [0.92, 0.999])
     def test_geometric_convergence(self, alpha):
         online, target = self.make_pair()
-        for blk in target.ema.blocks():
-            blk.value.fill(0.0)
-        for blk in online.blocks():
-            blk.value.fill(1.0)
+        target.value.fill(0.0)
+        online.value.fill(1.0)
         k = 40
         for _ in range(k):
             ema_update(target, online, alpha)
-        for blk in target.ema.blocks():
-            np.testing.assert_allclose(np.abs(blk.value - 1.0), alpha**k, rtol=1e-10)
+        np.testing.assert_allclose(np.abs(target.value - 1.0), alpha**k, rtol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.92, 0.999, 1.0])
+    def test_matches_per_block_loop_bitwise(self, alpha):
+        online, target = self.make_pair()
+        rng = seeded_rng(12)
+        online.value[...] = rng.standard_normal(online.value.size)
+        target.value[...] = rng.standard_normal(target.value.size)
+        # the per-block loop the store replaced, on copies of each block
+        ref = {b.name: b.value.copy() for b in target.blocks}
+        for _ in range(3):
+            for t_blk, o_blk in zip(target.blocks, online.blocks):
+                ref[t_blk.name] *= alpha
+                ref[t_blk.name] += (1.0 - alpha) * o_blk.value
+            ema_update(target, online, alpha)
+        for b in target.blocks:
+            assert b.value.tobytes() == ref[b.name].tobytes(), b.name
 
     def test_shape_mismatch_rejected(self):
         online, target = self.make_pair()
-        other = init_amortizer(6, 0.5, "a", (9, 2))
+        other = ParamStore(init_amortizer(6, 0.5, "a", (9, 2)).blocks())
         with pytest.raises(ContractError):
             ema_update(target, other, 0.5)
 
@@ -371,7 +381,6 @@ class TestL2LogLoss:
         emb = unit_batch(rng, 5, 4)
         theta = init_amortizer(4, 0.5, "a", (97, 0))
         log_z = rng.standard_normal(5)
-        theta.zero_grad()
         loss_l2log(theta, emb, log_z)
         assert any(np.any(blk.grad != 0.0) for blk in theta.blocks())
 

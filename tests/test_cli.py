@@ -184,6 +184,29 @@ class TestTrain:
         line = stderr_line(capsys)
         assert "non-finite feature" in line and f"(byte offset {offset})" in line
 
+    @pytest.mark.parametrize("key", ["t_online", "t_target"])
+    def test_cadence_longer_than_epoch_exits_1(self, data_path, tmp_path, capsys, key):
+        # 270 training samples at batch 16: 16 steps per epoch
+        cfg = tmp_path / "cadence.json"
+        cfg.write_text(json.dumps({"batch_size": 16, "epochs": 1, key: 17}))
+        assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
+        line = stderr_line(capsys)
+        assert f"config key {key!r} must be at most the 16 steps per epoch, got 17" in line
+        # the baseline has no cadence to miss
+        clip = ["--method", "clip"]
+        assert main(["train", "--data", str(data_path), "--config", str(cfg), *clip]) == 0
+
+    def test_optimizer_overflow_exits_2(self, data_path, tmp_path, capsys):
+        # an accepted but huge temperature: the squared encoder gradient overflows
+        cfg = tmp_path / "hot.json"
+        hot = {"tau_init": 1000.0, "tau_max": 1000.0, "batch_size": 16, "epochs": 1}
+        cfg.write_text(json.dumps(hot))
+        assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 2
+        message, snapshot = capsys.readouterr().err.strip().splitlines()
+        assert message.startswith("amorlip: training diverged: optimizer step ")
+        assert "overflow" in message
+        assert json.loads(snapshot)["step"] >= 1
+
 
 class TestEval:
     def run_train(self, data_path, tiny_config, tmp_path, method="amorlip"):

@@ -7,6 +7,7 @@ from amorlip.errors import ContractError, DegenerateInputError, DomainError, Ora
 from amorlip.numerics import (
     AdamW,
     ParamBlock,
+    ParamStore,
     finite_difference_gradient,
     gradcheck_error,
     l2_normalize_rows,
@@ -88,7 +89,7 @@ class TestParamBlock:
         blk.grad += 1.0
         blk.grad += 1.0
         np.testing.assert_allclose(blk.grad, 2.0)
-        blk.zero_grad()
+        ParamStore([blk]).zero_grad()
         np.testing.assert_allclose(blk.grad, 0.0)
 
     def test_non_2d_rejected(self):
@@ -104,20 +105,20 @@ class TestAdamW:
     def test_first_step_is_signed_lr(self):
         blk = ParamBlock("w", np.array([[1.0, -2.0]]))
         blk.grad[...] = np.array([[0.5, -3.0]])
-        opt = AdamW([blk], lr=0.1, eps=1e-12)
+        opt = AdamW(ParamStore([blk]), lr=0.1, eps=1e-12)
         opt.step()
         np.testing.assert_allclose(blk.value, [[1.0 - 0.1, -2.0 + 0.1]], atol=1e-9)
 
     def test_zero_gradient_leaves_values(self):
         blk = ParamBlock("w", np.array([[1.5, -0.5]]))
-        opt = AdamW([blk], lr=0.1)
+        opt = AdamW(ParamStore([blk]), lr=0.1)
         for _ in range(3):
             opt.step()
         np.testing.assert_allclose(blk.value, [[1.5, -0.5]])
 
     def test_decoupled_decay_scales_values(self):
         blk = ParamBlock("w", np.array([[2.0]]))
-        opt = AdamW([blk], lr=0.1, weight_decay=0.5)
+        opt = AdamW(ParamStore([blk]), lr=0.1, weight_decay=0.5)
         expected = 2.0
         for _ in range(4):
             opt.step()
@@ -126,7 +127,7 @@ class TestAdamW:
 
     def test_no_decay_names_skip_decay(self):
         blk = ParamBlock("b", np.array([[2.0]]))
-        opt = AdamW([blk], lr=0.1, weight_decay=0.5, no_decay={"b"})
+        opt = AdamW(ParamStore([blk], no_decay={"b"}), lr=0.1, weight_decay=0.5)
         opt.step()
         np.testing.assert_allclose(blk.value, [[2.0]])
 
@@ -134,9 +135,9 @@ class TestAdamW:
         def run():
             rng = seeded_rng(99)
             blk = ParamBlock("w", rng.standard_normal((3, 4)))
-            opt = AdamW([blk], lr=0.01)
+            opt = AdamW(ParamStore([blk]), lr=0.01)
             for _ in range(25):
-                blk.zero_grad()
+                opt.store.zero_grad()
                 blk.grad += rng.standard_normal((3, 4))
                 opt.step()
             return blk.value.copy()
@@ -173,9 +174,9 @@ class TestAdamW:
                 ref[n] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
         blocks = [ParamBlock(n, init[n]) for n in shapes]
-        opt = AdamW(blocks, no_decay=no_decay, **hyper)
+        opt = AdamW(ParamStore(blocks, no_decay), **hyper)
         for step_grads in grads:
-            opt.zero_grad()
+            opt.store.zero_grad()
             for b in blocks:
                 b.grad += step_grads[b.name]
             opt.step()
@@ -186,29 +187,99 @@ class TestAdamW:
 
     def test_blocks_and_moments_alias_the_flat_store(self):
         blocks = [ParamBlock("w", np.ones((2, 3))), ParamBlock("b", np.zeros((1, 3)))]
-        opt = AdamW(blocks, lr=0.1, weight_decay=0.1, no_decay={"b"})
+        opt = AdamW(ParamStore(blocks, no_decay={"b"}), lr=0.1, weight_decay=0.1)
         for b in blocks:
-            assert np.shares_memory(b.value, opt._value)
-            assert np.shares_memory(b.grad, opt._grad)
+            assert np.shares_memory(b.value, opt.store.value)
+            assert np.shares_memory(b.grad, opt.store.grad)
             assert np.shares_memory(opt.m[b.name], opt._m)
             assert np.shares_memory(opt.v[b.name], opt._v)
         blocks[0].grad += 1.0
         blocks[1].grad += 2.0
         opt.step()
         assert np.all(opt.m["w"] != 0.0) and np.all(opt.v["b"] != 0.0)
-        opt.zero_grad()
+        opt.store.zero_grad()
         assert not np.any(blocks[0].grad) and not np.any(blocks[1].grad)
 
     def test_duplicate_block_names_rejected(self):
         with pytest.raises(ContractError):
-            AdamW([ParamBlock("w", np.ones((1, 1))), ParamBlock("w", np.ones((1, 1)))], lr=0.1)
+            ParamStore([ParamBlock("w", np.ones((1, 1))), ParamBlock("w", np.ones((1, 1)))])
 
     def test_state_shape_mismatch_rejected(self):
         blk = ParamBlock("w", np.ones((2, 2)))
-        opt = AdamW([blk], lr=0.1)
+        opt = AdamW(ParamStore([blk]), lr=0.1)
         blk.grad = np.zeros((2, 3))
         with pytest.raises(ContractError):
             opt.step()
+
+
+    def test_reset_equals_fresh_optimizer(self):
+        rng = seeded_rng(8)
+        shapes = {"w": (4, 3), "b": (1, 3)}
+        init = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
+        used = AdamW(ParamStore([ParamBlock(n, init[n]) for n in shapes]), lr=0.05)
+        for _ in range(4):
+            used.store.grad[...] = rng.standard_normal(used.store.grad.size)
+            used.step()
+        used.store.value[...] = np.concatenate([init[n].ravel() for n in shapes])
+        used.reset()
+        fresh = AdamW(ParamStore([ParamBlock(n, init[n]) for n in shapes]), lr=0.05)
+        assert used.t == fresh.t == 0
+        for _ in range(3):
+            g = rng.standard_normal(fresh.store.grad.size)
+            for opt in (used, fresh):
+                opt.store.grad[...] = g
+                opt.step()
+        assert used.t == fresh.t
+        assert used.store.value.tobytes() == fresh.store.value.tobytes()
+        for n in shapes:
+            assert used.m[n].tobytes() == fresh.m[n].tobytes()
+            assert used.v[n].tobytes() == fresh.v[n].tobytes()
+
+    def test_overflowing_step_raises_domain_error(self):
+        blk = ParamBlock("w", np.ones((1, 2)))
+        opt = AdamW(ParamStore([blk]), lr=0.1)
+        blk.grad[...] = 1e200  # its square overflows
+        with pytest.raises(DomainError, match="optimizer step 1"):
+            opt.step()
+
+
+class TestParamStore:
+    def blocks(self, prefix):
+        return [
+            ParamBlock(f"{prefix}/w", np.full((2, 3), 1.5)),
+            ParamBlock(f"{prefix}/b", np.ones((1, 3))),
+        ]
+
+    def test_views_in_given_order_with_decayed_first(self):
+        blocks = self.blocks("x")
+        store = ParamStore(blocks, no_decay={"x/w"})
+        assert [b.name for b in store.blocks] == ["x/w", "x/b"]
+        assert store.layout == {"x/b": (0, (1, 3)), "x/w": (3, (2, 3))}
+        assert store.n_decay == 3
+        assert np.array_equal(store.value, [1.0] * 3 + [1.5] * 6)
+        store.value += 1.0
+        assert np.all(blocks[0].value == 2.5) and np.all(blocks[1].value == 2.0)
+
+    def test_load_copies_values(self):
+        src, dst = ParamStore(self.blocks("src")), ParamStore(self.blocks("dst"))
+        src.value[...] = np.arange(src.value.size)
+        dst.load(src)
+        assert np.array_equal(dst.value, src.value)
+        src.value += 1.0  # the copy is independent of its source
+        assert not np.array_equal(dst.value, src.value)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 3)], [(3, 2), (1, 3)], [(1, 3), (2, 3)], [(2, 3), (1, 3), (1, 1)]],
+        ids=["fewer", "transposed", "reordered", "longer"],
+    )
+    def test_different_layout_rejected(self, shapes):
+        store = ParamStore(self.blocks("x"))
+        other = ParamStore([ParamBlock(f"y{i}", np.zeros(s)) for i, s in enumerate(shapes)])
+        with pytest.raises(ContractError, match="layouts differ"):
+            store.load(other)
+        with pytest.raises(ContractError, match="layouts differ"):
+            other.check_layout(store)
 
 
 class TestFiniteDifferenceGradient:

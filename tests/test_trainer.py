@@ -9,6 +9,7 @@ import amorlip.trainer as trainer_mod
 from amorlip.amortization import init_amortizer
 from amorlip.data import generate_synthetic
 from amorlip.errors import ConfigError, ContractError, TrainingDivergence
+from amorlip.numerics import AdamW, ParamStore
 from amorlip.trainer import (
     AMORTIZER_REINIT_SALT,
     MetricsWriter,
@@ -104,14 +105,17 @@ class TestCadence:
         cfg = small_cfg(epochs=1, t_target=2)
         run_amorlip(cfg, ds)
         k = 540 // cfg.batch_size
-        assert calls["n"] == 2 * (k // 2)  # two modalities per application
+        assert calls["n"] == k // 2  # one call over the store of both modalities
 
     def test_degenerate_cadence_without_stage_one(self):
-        ds = small_ds(200)
-        cfg = small_cfg(epochs=1, t_online=1000)
-        state = run_amorlip(cfg, ds)
-        assert state.gather_count == 0
-        # online amortizers never stepped, so they equal their epoch-1 draws
+        ds = small_ds(200)  # 11 steps per epoch
+        with pytest.raises(ConfigError, match="'t_online' must be at most the 11 steps per epoch"):
+            run_amorlip(small_cfg(epochs=1, t_online=1000), ds)
+        # the epoch-1 rotation runs before the step budget is checked, so
+        # the online amortizers hold their epoch-1 draws, never stepped
+        cfg = small_cfg(epochs=1)
+        state = run_amorlip(cfg, ds, max_steps=0)
+        assert state.gather_count == 0 and state.opt_amortizer.t == 0
         for i, m in enumerate(("a", "b")):
             fresh = init_amortizer(cfg.embed_dim, cfg.f_d, m, (cfg.seed, AMORTIZER_REINIT_SALT, 1, i))
             for got, want in zip(state.online[m].blocks(), fresh.blocks()):
@@ -196,10 +200,11 @@ class TestTrainingRuns:
 
     def test_divergence_aborts_with_snapshot(self):
         ds = small_ds(200)
-        cfg = small_cfg(epochs=1, t_online=10_000, t_target=10_000)
+        cfg = small_cfg(epochs=1, t_online=11, t_target=11)  # 11 steps per epoch
         state = init_train_state(cfg, ds)
         # amortizer forced far below the partition scale: exp overflows;
-        # mid-epoch counters keep the epoch rotation from re-initializing it
+        # mid-epoch counters keep the epoch rotation from re-initializing it,
+        # and the failing step 2 runs neither the amortization stage nor the EMA
         for m in ("a", "b"):
             state.targets[m].ema.net.weights[-1].value[...] = 0.0
             state.targets[m].ema.net.biases[-1].value[0, 0] = -800.0
@@ -213,6 +218,23 @@ class TestTrainingRuns:
         # is computed on the way out; the amortizer sits ~800 below log Z
         gap = err.value.snapshot["median_abs_log_z_err"]
         assert math.isfinite(gap) and gap > 700.0
+
+    def test_amortizer_optimizer_overflow_diverges(self, monkeypatch):
+        real = trainer_mod.loss_l2log
+
+        def overflowing(theta, emb, log_z_target):
+            loss = real(theta, emb, log_z_target)
+            theta.net.weights[0].grad[...] = 1e200  # its square overflows
+            return loss
+
+        monkeypatch.setattr(trainer_mod, "loss_l2log", overflowing)
+        ds = small_ds(200)
+        cfg = small_cfg(epochs=1, t_online=2, log_every=10)
+        with pytest.raises(TrainingDivergence, match="optimizer step 1 is not finite") as err:
+            run_amorlip(cfg, ds, MetricsWriter())
+        # the first amortization step; the gap comes from the untouched targets
+        assert err.value.snapshot["step"] == 2
+        assert math.isfinite(err.value.snapshot["median_abs_log_z_err"])
 
     def test_epoch_rotation_freezes_previous_target(self):
         ds = small_ds(200)
@@ -234,6 +256,27 @@ class TestTrainingRuns:
             trainer_mod._rotate_and_reinit = real
         for pre, post in zip(recorded["pre"], recorded["post"]):
             assert np.array_equal(pre, post)
+
+    def test_rotation_resets_amortizer_optimizer(self):
+        ds = small_ds(200)
+        cfg = small_cfg(epochs=2, t_online=2)
+        state = run_amorlip(cfg, ds, max_steps=9)
+        assert state.opt_amortizer.t > 0
+        trainer_mod._rotate_and_reinit(state, 2)
+        fresh = {
+            m: init_amortizer(cfg.embed_dim, cfg.f_d, m, (cfg.seed, AMORTIZER_REINIT_SALT, 2, i))
+            for i, m in enumerate(("a", "b"))
+        }
+        blocks = [b for m in ("a", "b") for b in fresh[m].blocks()]
+        want = AdamW(ParamStore(blocks), lr=cfg.lr_amortizer)
+        got = state.opt_amortizer
+        assert got.t == want.t == 0
+        for g, w in zip(got.blocks, want.blocks):
+            assert g.value.tobytes() == w.value.tobytes()
+            assert got.m[g.name].tobytes() == want.m[w.name].tobytes()
+            assert got.v[g.name].tobytes() == want.v[w.name].tobytes()
+        # the EMA target restarts from the fresh draws
+        assert state.ema_store.value.tobytes() == want.store.value.tobytes()
 
 
 class TestObservation:
