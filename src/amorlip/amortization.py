@@ -31,7 +31,6 @@ class AmortizerParams:
     """A three-layer MLP (d -> h -> h -> 1) predicting log(lambda) per sample."""
 
     net: Mlp
-    modality: str
 
     def blocks(self) -> list[ParamBlock]:
         return self.net.blocks()
@@ -62,7 +61,7 @@ def init_amortizer(
         raise ContractError(f"invalid amortizer sizes: d={embed_dim}, factor={dim_factor}")
     h = amortizer_hidden_dim(embed_dim, dim_factor)
     net = Mlp([embed_dim, h, h, 1], f"{prefix}_{modality}", seed_key=seed_key)
-    return AmortizerParams(net=net, modality=modality)
+    return AmortizerParams(net=net)
 
 
 @dataclass

@@ -72,14 +72,35 @@ class KernelEstimate:
     stderr: float
 
 
-def sample_features(m_features: int, dim: int, tau: float, seed: int) -> RandomFeatureMap:
-    """Draw m_features frequency vectors from N(0, I_dim), keyed by seed."""
+def check_sizes(m_features: int, dim: int) -> None:
+    """The size check of sample_features, for callers that allocate its
+    `out` buffer first."""
     if m_features < 1 or dim < 1:
         raise DomainError(f"need m_features >= 1 and dim >= 1, got {m_features}, {dim}")
+
+
+def sample_features(
+    m_features: int, dim: int, tau: float, seed: int, *, out: Array | None = None
+) -> RandomFeatureMap:
+    """Draw m_features frequency vectors from N(0, I_dim), keyed by seed.
+
+    With `out`, a C-contiguous float64 (dim, m_features) buffer, the draw is
+    written into it and the map's frequencies are its transpose; the bits
+    are those of the fresh draw."""
+    check_sizes(m_features, dim)
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
-    omegas = seeded_rng(seed).standard_normal((dim, m_features)).T
-    return RandomFeatureMap(omegas=omegas, tau=float(tau), seed=int(seed))
+    rng = seeded_rng(seed)
+    if out is None:
+        draw = rng.standard_normal((dim, m_features))
+    elif out.shape != (dim, m_features) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractError(
+            f"out must be a C-contiguous float64 ({dim}, {m_features}) array,"
+            f" got {out.dtype} {out.shape}"
+        )
+    else:
+        draw = rng.standard_normal(out=out)
+    return RandomFeatureMap(omegas=draw.T, tau=float(tau), seed=int(seed))
 
 
 def _check_unit(u: Array, what: str) -> Array:
@@ -106,15 +127,15 @@ def _estimate_from_samples(per_feature: Array, scale: float) -> KernelEstimate:
     m = per_feature.shape[0]
     mean = np.add.reduce(per_feature) / m
     value = scale * float(mean)
-    if float(np.ptp(per_feature)) == 0.0:
+    if m < 2:
+        stderr = math.inf  # one sample says nothing about the spread
+    elif float(np.ptp(per_feature)) == 0.0:
         stderr = 0.0  # all samples identical: genuinely zero variance
-    elif m >= 2:
+    else:
         per_feature -= mean
         np.multiply(per_feature, per_feature, out=per_feature)
         std = math.sqrt(np.add.reduce(per_feature) / (m - 1))
         stderr = scale * std / math.sqrt(m)
-    else:
-        stderr = math.inf
     return KernelEstimate(value=value, stderr=stderr)
 
 
@@ -127,24 +148,36 @@ def _check_pair(u1, u2, fmap: RandomFeatureMap) -> tuple[Array, Array]:
     return u1, u2
 
 
-def _scaled_projection(u1: Array, u2: Array, fmap: RandomFeatureMap) -> Array:
-    """sqrt(tau) <w, u1 - u2> for every frequency row w, in a fresh vector."""
-    proj = fmap.omegas @ (u1 - u2)
+def _scaled_projection(
+    u1: Array, u2: Array, fmap: RandomFeatureMap, out: Array | None = None
+) -> Array:
+    """sqrt(tau) <w, u1 - u2> for every frequency row w, in `out` or a
+    fresh vector."""
+    proj = np.matmul(fmap.omegas, u1 - u2, out=out)
     proj *= math.sqrt(fmap.tau)
     return proj
 
 
-def kernel_estimate(u1, u2, fmap: RandomFeatureMap) -> KernelEstimate:
+def kernel_estimate(
+    u1, u2, fmap: RandomFeatureMap, *, work: Array | None = None
+) -> KernelEstimate:
     """Monte-Carlo estimate of exp(tau * <u1, u2>) for unit vectors.
 
     Identical inputs give exactly exp(tau) with zero sampling variance,
     since every feature contributes cos(0); that answer is returned
     without a projection, and it is the full path's to the bit.
+
+    `work`, a float64 (m_features,) vector, takes the projection in place
+    of a fresh one; the figures are the same to the bit.
     """
     u1, u2 = _check_pair(u1, u2, fmap)
+    if work is not None and (work.shape != (fmap.m_features,) or work.dtype != np.float64):
+        raise ContractError(
+            f"work must be a float64 ({fmap.m_features},) array, got {work.dtype} {work.shape}"
+        )
     if np.array_equal(u1, u2):
         return KernelEstimate(value=math.exp(fmap.tau), stderr=0.0)
-    proj = _scaled_projection(u1, u2, fmap)
+    proj = _scaled_projection(u1, u2, fmap, work)
     return _estimate_from_samples(np.cos(proj, out=proj), math.exp(fmap.tau))
 
 

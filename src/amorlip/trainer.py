@@ -62,6 +62,8 @@ OBJECTIVES = ("l2log", "fdiv")
 TRAIN_GENERATORS = ("kl", "kl_affine", "js")
 
 CKPT_MAGIC = b"AMCK1\n"
+# meta/seed is stored as float64, which holds every integer below this exactly
+SEED_LIMIT = 2**53
 
 
 @dataclass
@@ -146,6 +148,11 @@ class TrainConfig:
             raise ConfigError("log_every must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
+        if self.seed >= SEED_LIMIT:
+            raise ConfigError(
+                f"config key 'seed' must be below 2**53, since a checkpoint stores it as a"
+                f" float64, got {self.seed}"
+            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -710,7 +717,7 @@ def load_eval_model(path) -> EvalModel:
     targets = None
     target_nets = {m: _net_from_blocks(blocks, f"target_{m}") for m in MODALITIES}
     if all(net is not None for net in target_nets.values()):
-        targets = {m: AmortizerParams(net=target_nets[m], modality=m) for m in MODALITIES}
+        targets = {m: AmortizerParams(net=target_nets[m]) for m in MODALITIES}
     seed = int(blocks.get("meta/seed", _scalar(0.0))[0, 0])
     eval_fraction = float(blocks.get("meta/eval_fraction", _scalar(0.1))[0, 0])
     method = "amorlip" if blocks.get("meta/method", _scalar(1.0))[0, 0] == 1.0 else "clip"

@@ -164,6 +164,13 @@ class TestTrain:
         assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
         assert "config key 'seed' must be a non-negative integer, got -1" in stderr_line(capsys)
 
+    def test_seed_beyond_float64_integers_exits_1(self, data_path, capsys):
+        # meta/seed is float64 in AMCK1: 2**53 + 1 would read back as 2**53,
+        # and eval would hold out a different split
+        assert main(["train", "--data", str(data_path), "--seed", "9007199254740993"]) == 1
+        line = stderr_line(capsys)
+        assert "config key 'seed' must be below 2**53" in line and "9007199254740993" in line
+
     @pytest.mark.parametrize("key", ["tau_init", "tau_max"])
     @pytest.mark.parametrize("value", [1e-300, 1e200])  # tau^2 underflows / overflows
     def test_extreme_temperature_exits_1(self, data_path, tmp_path, capsys, key, value):
@@ -326,6 +333,21 @@ class TestVerify:
         assert main(["verify", "spectral", "--features", "10"]) == 2
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert any(c["status"] == "fail" for c in lines)
+
+    def test_spectral_single_feature_fails_without_traceback(self, capsys):
+        # one feature has no spread to measure: infinite standard errors
+        assert main(["verify", "spectral", "--features", "1"]) == 2
+        out, err = capsys.readouterr()
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert {c["check"]: c["status"] for c in lines}["spectral/relative_se"] == "fail"
+        assert err == ""
+
+    @pytest.mark.parametrize("features", ["0", "-5"])
+    def test_spectral_no_features_exits_1(self, capsys, features):
+        assert main(["verify", "spectral", "--features", features]) == 1
+        assert stderr_line(capsys) == (
+            f"amorlip: need m_features >= 1 and dim >= 1, got {features}, 2"
+        )
 
     def test_spectral_feature_bound_exits_1(self, capsys):
         # rejected before the first frequency draw

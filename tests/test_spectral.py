@@ -72,6 +72,20 @@ class TestKernelEstimate:
         est = kernel_estimate(u1, u2, sample_features(m, 5, tau, seed=22))
         assert abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr
 
+    def test_one_feature_has_infinite_stderr(self):
+        # a single sample says nothing about the spread, even though its
+        # range is zero
+        fmap = sample_features(1, 2, 1.0, seed=25)
+        est = kernel_estimate(*pair_with_similarity(2, 0.5), fmap)
+        assert math.isfinite(est.value) and est.stderr == math.inf
+        (part,) = partition_estimate_mc(
+            np.array([[1.0, 0.0]]), EmbeddingBatch(np.array([[0.0, 1.0]]), "b"), fmap
+        )
+        assert part.stderr == math.inf
+        # identical inputs are still answered exactly, without a projection
+        u = np.array([1.0, 0.0])
+        assert kernel_estimate(u, u.copy(), fmap).stderr == 0.0
+
     def test_non_unit_input_rejected(self):
         fmap = sample_features(16, 3, 1.0, seed=23)
         with pytest.raises(ContractError):
@@ -173,11 +187,11 @@ class TestConvergence:
 def reference_estimate(per_feature, scale):
     m = per_feature.shape[0]
     value = scale * float(per_feature.mean())
+    if m < 2:
+        return KernelEstimate(value, math.inf)
     if float(np.ptp(per_feature)) == 0.0:
         return KernelEstimate(value, 0.0)
-    if m >= 2:
-        return KernelEstimate(value, scale * float(per_feature.std(ddof=1)) / math.sqrt(m))
-    return KernelEstimate(value, math.inf)
+    return KernelEstimate(value, scale * float(per_feature.std(ddof=1)) / math.sqrt(m))
 
 
 def reference_partition(u, others, fmap):
@@ -217,6 +231,36 @@ class TestBitIdentity:
         assert omegas.shape == (m, d)
         assert omegas.flags.f_contiguous
         assert omegas.tobytes() == seeded_rng(51).standard_normal((d, m)).T.tobytes()
+
+    @pytest.mark.parametrize("m, d", OMEGA_SHAPES)
+    def test_omegas_drawn_into_out(self, m, d):
+        out = np.empty((d, m))
+        omegas = sample_features(m, d, 1.0, seed=51, out=out).omegas
+        assert np.shares_memory(omegas, out)
+        assert omegas.tobytes() == sample_features(m, d, 1.0, seed=51).omegas.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((2, 9)), np.empty((3, 8)), np.empty((2, 8), np.float32), np.empty((2, 8), order="F")],
+        ids=["shape", "transposed", "dtype", "f-order"],
+    )
+    def test_wrong_out_rejected(self, out):
+        with pytest.raises(ContractError, match="C-contiguous float64"):
+            sample_features(8, 2, 1.0, seed=51, out=out)
+
+    @pytest.mark.parametrize("m", BOUNDARY_M)
+    def test_kernel_into_work(self, m):
+        fmap = sample_features(m, 4, 2.0, seed=52)
+        u1, u2 = unit_rows(53, 2, 4)
+        work = np.empty(m)
+        assert same_bits(kernel_estimate(u1, u2, fmap, work=work), kernel_estimate(u1, u2, fmap))
+
+    @pytest.mark.parametrize("work", [np.empty(15), np.empty(16, np.float32)], ids=["shape", "dtype"])
+    def test_wrong_work_rejected(self, work):
+        fmap = sample_features(16, 2, 1.0, seed=59)
+        u = np.array([1.0, 0.0])
+        with pytest.raises(ContractError, match="work must be"):
+            kernel_estimate(u, u.copy(), fmap, work=work)
 
     @pytest.mark.parametrize("m", [m for m, _ in OMEGA_SHAPES])
     def test_two_coordinate_draw_is_leading_columns(self, m):

@@ -12,6 +12,7 @@ from amorlip.errors import ConfigError, ContractError, TrainingDivergence
 from amorlip.numerics import AdamW, ParamStore
 from amorlip.trainer import (
     AMORTIZER_REINIT_SALT,
+    SEED_LIMIT,
     MetricsWriter,
     TrainConfig,
     checkpoint_load_blocks,
@@ -408,6 +409,15 @@ class TestCheckpoints:
         e1, _ = encode(state.encoders, x, "a")
         e2, _ = encode(model.encoders, x, "a")
         assert np.array_equal(e1.data, e2.data)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        # AMCK1 stores the seed as float64; the config stops where that is exact
+        with pytest.raises(ConfigError, match=r"'seed' must be below 2\*\*53"):
+            small_cfg(seed=SEED_LIMIT).validate()
+        cfg = small_cfg(seed=SEED_LIMIT - 1)
+        path = tmp_path / "s.ckpt"
+        checkpoint_save(init_train_state(cfg, small_ds(200)), path)
+        assert load_eval_model(path).seed == SEED_LIMIT - 1
 
     def test_clip_checkpoint_has_no_amortizers(self, tmp_path):
         ds = small_ds(200)
