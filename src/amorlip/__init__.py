@@ -9,7 +9,6 @@ two-stage alternation.
 
 from .amortization import (
     GENERATORS,
-    AmortizerParams,
     DivergenceGenerator,
     PartitionEstimate,
     TargetAmortizer,
@@ -48,7 +47,7 @@ from .errors import (
     OracleError,
     TrainingDivergence,
 )
-from .evaluation import EvalReport, evaluate_model, partition_error, recall_at_k, zero_shot_accuracy
+from .evaluation import EvalReport, evaluate_model, zero_shot_accuracy
 from .losses import (
     LossOutput,
     RhoSchedule,
@@ -64,7 +63,6 @@ from .numerics import (
     ParamStore,
     finite_difference_gradient,
     l2_normalize_rows,
-    logsumexp,
     seeded_rng,
 )
 from .spectral import RandomFeatureMap, kernel_estimate, partition_estimate_mc, sample_features

@@ -19,7 +19,7 @@ import numpy as np
 from .encoders import EmbeddingBatch
 from .errors import ContractError, DegenerateInputError, DomainError
 from .net import Mlp
-from .numerics import Array, ParamBlock, ParamStore, row_logsumexp
+from .numerics import Array, ParamStore, row_logsumexp
 
 
 # ---------------------------------------------------------------------------
@@ -27,22 +27,12 @@ from .numerics import Array, ParamBlock, ParamStore, row_logsumexp
 
 
 @dataclass
-class AmortizerParams:
-    """A three-layer MLP (d -> h -> h -> 1) predicting log(lambda) per sample."""
-
-    net: Mlp
-
-    def blocks(self) -> list[ParamBlock]:
-        return self.net.blocks()
-
-
-@dataclass
 class TargetAmortizer:
     """EMA-tracked copy of the online amortizer plus the frozen snapshot
     carried over from the previous epoch."""
 
-    ema: AmortizerParams
-    prev_epoch: AmortizerParams
+    ema: Mlp
+    prev_epoch: Mlp
 
 
 def amortizer_hidden_dim(embed_dim: int, dim_factor: float) -> int:
@@ -55,13 +45,13 @@ def init_amortizer(
     modality: str,
     seed_key: tuple[int, ...],
     prefix: str = "amortizer",
-) -> AmortizerParams:
-    """Draws keyed by seed_key; the blocks are named '{prefix}_{modality}/...'."""
+) -> Mlp:
+    """A three-layer MLP (d -> h -> h -> 1) predicting log(lambda) per sample.
+    Draws keyed by seed_key; the blocks are named '{prefix}_{modality}/...'."""
     if embed_dim < 1 or dim_factor <= 0:
         raise ContractError(f"invalid amortizer sizes: d={embed_dim}, factor={dim_factor}")
     h = amortizer_hidden_dim(embed_dim, dim_factor)
-    net = Mlp([embed_dim, h, h, 1], f"{prefix}_{modality}", seed_key=seed_key)
-    return AmortizerParams(net=net)
+    return Mlp([embed_dim, h, h, 1], f"{prefix}_{modality}", seed_key=seed_key)
 
 
 @dataclass
@@ -71,18 +61,16 @@ class AmortizeCache:
     n: int
 
 
-def amortize_forward(theta: AmortizerParams, emb: EmbeddingBatch):
+def amortize_forward(theta: Mlp, emb: EmbeddingBatch):
     """Per-sample log(lambda) predictions. Returns (vector of length n, cache)."""
-    if emb.dim != theta.net.dims[0]:
-        raise ContractError(
-            f"amortizer expects embedding dim {theta.net.dims[0]}, got {emb.dim}"
-        )
-    out, acts = theta.net.forward(emb.data)
+    if emb.dim != theta.dims[0]:
+        raise ContractError(f"amortizer expects embedding dim {theta.dims[0]}, got {emb.dim}")
+    out, acts = theta.forward(emb.data)
     log_lam = out.ravel()
     if not np.all(np.isfinite(log_lam)):
         bad = int(np.argmax(~np.isfinite(log_lam)))
         raise DomainError(f"amortizer produced a non-finite log-value at sample {bad}")
-    return log_lam, AmortizeCache(net=theta.net, acts=acts, n=emb.n)
+    return log_lam, AmortizeCache(net=theta, acts=acts, n=emb.n)
 
 
 def amortize_backward(cache: AmortizeCache, upstream) -> None:
@@ -159,7 +147,7 @@ def beta_schedule(t: float, total: int, beta_final: float) -> float:
 
 def combined_target(
     log_z_exact: Array,
-    prev_epoch: AmortizerParams,
+    prev_epoch: Mlp,
     emb: EmbeddingBatch,
     beta_t: float,
 ) -> Array:
@@ -319,7 +307,7 @@ def loss_l2log_values(log_lambda: Array, log_z_target: Array) -> tuple[float, Ar
     return loss, diff / n
 
 
-def loss_l2log(theta: AmortizerParams, emb_l: EmbeddingBatch, log_z_target: Array) -> float:
+def loss_l2log(theta: Mlp, emb_l: EmbeddingBatch, log_z_target: Array) -> float:
     """Squared log-gap amortization loss; gradients flow only to theta."""
     log_lam, cache = amortize_forward(theta, emb_l)
     loss, grad = loss_l2log_values(log_lam, log_z_target)

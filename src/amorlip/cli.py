@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .data import generate_synthetic, load_dataset, save_dataset, split_eval
@@ -189,7 +190,13 @@ def _cmd_verify(args) -> int:
         kwargs["m_features"] = args.features
     checks = run_suite(args.suite, **kwargs)
     for check in checks:
-        print(json.dumps(check))
+        # strict JSON has no Infinity or NaN: a non-finite figure is written
+        # as the string "inf", "-inf" or "nan"
+        fields = {
+            k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in check.items()
+        }
+        print(json.dumps(fields, allow_nan=False))
     return EXIT_OK if all(c["status"] == "pass" for c in checks) else EXIT_VERIFY
 
 

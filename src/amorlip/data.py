@@ -174,7 +174,6 @@ def load_dataset(path) -> PairedDataset:
 class BatchPlan:
     """A full-epoch permutation sliced into fixed-size batches (remainder dropped)."""
 
-    epoch: int
     batch_size: int
     permutation: Array
 
@@ -193,7 +192,7 @@ def make_batch_plan(n: int, batch_size: int, seed: int, epoch: int) -> BatchPlan
     if batch_size > n:
         raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
     perm = seeded_rng(seed, BATCH_SEED_SALT, epoch).permutation(n)
-    return BatchPlan(epoch=epoch, batch_size=batch_size, permutation=perm)
+    return BatchPlan(batch_size=batch_size, permutation=perm)
 
 
 def split_eval(ds: PairedDataset, eval_fraction: float, seed: int):

@@ -87,10 +87,6 @@ class EncoderParams:
             out.extend(self.nets[m].blocks())
         return out
 
-    @property
-    def embed_dim(self) -> int:
-        return self.nets[MODALITIES[0]].dims[-1]
-
 
 def init_encoders(
     input_dims: dict[str, int],
@@ -113,7 +109,6 @@ def init_encoders(
 
 @dataclass
 class EncodeCache:
-    modality: str
     net: Mlp
     acts: list[Array]
     norm_backward: Callable[[Array], Array]
@@ -135,9 +130,7 @@ def encode(params: EncoderParams, inputs, modality: str):
         raise ContractError("encode requires at least one row")
     raw, acts = net.forward(x)
     emb, norm_backward = l2_normalize_rows(raw)
-    cache = EncodeCache(
-        modality=modality, net=net, acts=acts, norm_backward=norm_backward, out_shape=emb.shape
-    )
+    cache = EncodeCache(net=net, acts=acts, norm_backward=norm_backward, out_shape=emb.shape)
     return EmbeddingBatch(data=emb, modality=modality), cache
 
 

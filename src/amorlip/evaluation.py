@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amortization import AmortizerParams, TargetAmortizer, amortize_forward, exact_partition
+from .amortization import TargetAmortizer, amortize_forward, exact_partition
 from .data import PairedDataset
 from .encoders import MODALITIES, EmbeddingBatch, encode
 from .errors import ConfigError, ContractError
+from .net import Mlp
 from .numerics import Array
 
 
@@ -60,15 +61,6 @@ def _partner_ranks(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch) -> tuple[Array,
     return _ranks_of_partners(scores), _ranks_of_partners(scores.T)
 
 
-def recall_at_k(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, k: int) -> tuple[float, float]:
-    """Fraction of queries whose true partner ranks in the top k, for both
-    retrieval directions (a queries b, then b queries a)."""
-    ranks_ab, ranks_ba = _partner_ranks(emb_a, emb_b)
-    if k < 1 or k > emb_a.n:
-        raise ConfigError(f"k must lie in [1, {emb_a.n}], got {k}")
-    return float(np.mean(ranks_ab <= k)), float(np.mean(ranks_ba <= k))
-
-
 def class_prototypes(emb: EmbeddingBatch, labels: Array, num_classes: int) -> Array:
     """Unit-norm per-class mean embeddings. A class absent from the slice
     keeps a zero prototype (it can never be a query's own class)."""
@@ -105,13 +97,15 @@ def zero_shot_accuracy(sample_emb: EmbeddingBatch, prototype_emb: Array, labels:
     return float(np.mean(pred == labels))
 
 
-def partition_gap_stats(log_lambda: Array, log_z: Array) -> tuple[float, float]:
-    """(median, mean) of |log lambda - log Z| over pooled samples."""
-    gaps = np.abs(np.asarray(log_lambda, dtype=np.float64) - np.asarray(log_z, dtype=np.float64))
+def partition_gap_stats(log_lam: dict[str, Array], log_z: dict[str, Array]) -> tuple[float, float]:
+    """(median, mean) of |log lambda - log Z| over the samples of both
+    modalities, pooled in modality order."""
+    lam, z = (np.concatenate([values[m] for m in MODALITIES]) for values in (log_lam, log_z))
+    gaps = np.abs(lam - z)
     return float(np.median(gaps)), float(np.mean(gaps))
 
 
-def _target_net(model, modality: str) -> AmortizerParams:
+def _target_net(model, modality: str) -> Mlp:
     tgt = model.targets[modality]
     if isinstance(tgt, TargetAmortizer):
         return tgt.ema
@@ -127,21 +121,14 @@ def _embed_slice(model, ds_slice: PairedDataset) -> dict[str, EmbeddingBatch]:
 
 
 def _partition_gaps(model, emb: dict[str, EmbeddingBatch]) -> tuple[float, float]:
+    """Gap between the target amortizers' predictions and the exact
+    slice-level log partitions; the slice serves as the empirical marginal."""
     tau = model.temperature.tau
-    log_lam, log_z = [], []
+    log_lam, log_z = {}, {}
     for m, mp in (("a", "b"), ("b", "a")):
-        log_z.append(exact_partition(emb[m], emb[mp], tau, include_positive=True).log_z_exact)
-        log_lam.append(amortize_forward(_target_net(model, m), emb[m])[0])
-    return partition_gap_stats(np.concatenate(log_lam), np.concatenate(log_z))
-
-
-def partition_error(model, ds_slice: PairedDataset) -> tuple[float, float]:
-    """(median, mean) absolute gap between the target amortizer's log
-    predictions and the exact slice-level log partitions, pooled over both
-    modalities. The slice itself serves as the empirical marginal."""
-    if getattr(model, "targets", None) is None:
-        raise ContractError("model has no amortizers; partition error is undefined")
-    return _partition_gaps(model, _embed_slice(model, ds_slice))
+        log_z[m] = exact_partition(emb[m], emb[mp], tau, include_positive=True).log_z_exact
+        log_lam[m] = amortize_forward(_target_net(model, m), emb[m])[0]
+    return partition_gap_stats(log_lam, log_z)
 
 
 def evaluate_model(model, eval_ds: PairedDataset) -> EvalReport:

@@ -25,21 +25,6 @@ def seeded_rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-def logsumexp(values) -> float:
-    """log(sum(exp(values))), computed as max + log(sum(exp(v - max))).
-
-    Finite for any finite input; the max-subtraction keeps the exponentials
-    in [0, 1].
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise DomainError("logsumexp of an empty vector")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("logsumexp requires finite inputs")
-    m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
-
-
 def row_logsumexp(mat: Array) -> Array:
     """Row-wise logsumexp of a 2-D array.
 

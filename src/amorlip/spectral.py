@@ -53,7 +53,6 @@ class RandomFeatureMap:
 
     omegas: Array  # (m_features, dim) i.i.d. standard normal, column-major
     tau: float
-    seed: int
 
     @property
     def m_features(self) -> int:
@@ -100,7 +99,7 @@ def sample_features(
         )
     else:
         draw = rng.standard_normal(out=out)
-    return RandomFeatureMap(omegas=draw.T, tau=float(tau), seed=int(seed))
+    return RandomFeatureMap(omegas=draw.T, tau=float(tau))
 
 
 def _check_unit(u: Array, what: str) -> Array:

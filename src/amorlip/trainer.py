@@ -22,7 +22,6 @@ import numpy as np
 
 from .amortization import (
     GENERATORS,
-    AmortizerParams,
     TargetAmortizer,
     amortize_backward,
     amortize_forward,
@@ -48,7 +47,7 @@ from .encoders import (
     similarity_matrix,
 )
 from .errors import ConfigError, ContractError, DomainError, FormatError, TrainingDivergence
-from .evaluation import partition_error, partition_gap_stats
+from .evaluation import partition_gap_stats
 from .losses import RhoSchedule, amortized_mle_loss, nce_loss, rho_at, temperature_rescale
 from .net import Mlp
 from .numerics import AdamW, Array, ParamStore
@@ -196,7 +195,7 @@ class TrainState:
     config: TrainConfig
     encoders: EncoderParams
     temperature: Temperature
-    online: dict[str, AmortizerParams] | None
+    online: dict[str, Mlp] | None
     targets: dict[str, TargetAmortizer] | None
     opt_encoder: AdamW
     # the online amortizers of both modalities share opt_amortizer's store;
@@ -228,21 +227,15 @@ class MetricsWriter:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "MetricsWriter":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _draw_amortizers(cfg: TrainConfig, prefix: str, *key: int) -> dict[str, AmortizerParams]:
+def _draw_amortizers(cfg: TrainConfig, prefix: str, *key: int) -> dict[str, Mlp]:
     return {
         m: init_amortizer(cfg.embed_dim, cfg.f_d, m, (cfg.seed, *key, i), prefix)
         for i, m in enumerate(MODALITIES)
     }
 
 
-def _store(amortizers: dict[str, AmortizerParams]) -> ParamStore:
+def _store(amortizers: dict[str, Mlp]) -> ParamStore:
     return ParamStore([b for m in MODALITIES for b in amortizers[m].blocks()])
 
 
@@ -318,11 +311,6 @@ def _exact_log_z(emb: dict[str, EmbeddingBatch], tau: float, include_positive: b
 
 def _target_log_lam(state: TrainState, emb: dict[str, EmbeddingBatch]) -> dict[str, Array]:
     return {m: amortize_forward(state.targets[m].ema, emb[m])[0] for m in MODALITIES}
-
-
-def _median_abs_gap(log_lam: dict[str, Array], log_z: dict[str, Array]) -> float:
-    pooled = [np.concatenate([values[m] for m in MODALITIES]) for values in (log_lam, log_z)]
-    return partition_gap_stats(*pooled)[0]
 
 
 def _amortization_stage(
@@ -433,7 +421,7 @@ def run_training(
         if amortized and snapshot.get("median_abs_log_z_err") is None:
             exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
             lam = log_lam or _target_log_lam(state, emb)
-            snapshot["median_abs_log_z_err"] = _median_abs_gap(lam, exact)
+            snapshot["median_abs_log_z_err"] = partition_gap_stats(lam, exact)[0]
         return TrainingDivergence(message, snapshot)
 
     for t in range(max(state.epoch, 1), cfg.epochs + 1):
@@ -470,7 +458,7 @@ def run_training(
                     if k % cfg.t_target == 0:
                         ema_update(state.ema_store, state.opt_amortizer.store, cfg.alpha)
                     log_lam = _target_log_lam(state, emb)
-                    median_err = _median_abs_gap(log_lam, log_z) if logged else None
+                    median_err = partition_gap_stats(log_lam, log_z)[0] if logged else None
                     snapshot.update(amor_loss=amor_loss, median_abs_log_z_err=median_err)
                     raw = amortized_mle_loss(emb["a"], emb["b"], tau, log_lam["a"], log_lam["b"])
                 else:
@@ -643,10 +631,14 @@ def checkpoint_load_blocks(path) -> dict[str, Array]:
     return blocks
 
 
-def _load_into(block_values: dict[str, Array], name: str, dest: Array) -> None:
-    if name not in block_values:
+def _block(blocks: dict[str, Array], name: str) -> Array:
+    if name not in blocks:
         raise ContractError(f"checkpoint is missing block {name!r}")
-    src = block_values[name]
+    return blocks[name]
+
+
+def _load_into(block_values: dict[str, Array], name: str, dest: Array) -> None:
+    src = _block(block_values, name)
     if src.shape != dest.shape:
         raise ContractError(
             f"block {name!r}: checkpoint shape {src.shape} != expected {dest.shape}"
@@ -657,7 +649,7 @@ def _load_into(block_values: dict[str, Array], name: str, dest: Array) -> None:
 def restore_train_state(cfg: TrainConfig, ds: PairedDataset, path) -> TrainState:
     """Rebuild a TrainState for resumption; cfg must match the saved run."""
     blocks = checkpoint_load_blocks(path)
-    method = "amorlip" if blocks.get("meta/method", _scalar(1.0))[0, 0] == 1.0 else "clip"
+    method = "amorlip" if _block(blocks, "meta/method")[0, 0] == 1.0 else "clip"
     if method != cfg.method:
         raise ConfigError(f"checkpoint was written by method {method!r}, config says {cfg.method!r}")
     state = init_train_state(cfg, ds)
@@ -676,10 +668,9 @@ class EvalModel:
 
     encoders: EncoderParams
     temperature: Temperature
-    targets: dict[str, AmortizerParams] | None
+    targets: dict[str, Mlp] | None
     seed: int
     eval_fraction: float
-    method: str
 
 
 def _net_from_blocks(blocks: dict[str, Array], prefix: str) -> Mlp | None:
@@ -687,9 +678,7 @@ def _net_from_blocks(blocks: dict[str, Array], prefix: str) -> Mlp | None:
     i = 0
     while f"{prefix}/w{i}" in blocks:
         arrays.append(blocks[f"{prefix}/w{i}"])
-        if f"{prefix}/b{i}" not in blocks:
-            raise ContractError(f"checkpoint is missing block '{prefix}/b{i}'")
-        arrays.append(blocks[f"{prefix}/b{i}"])
+        arrays.append(_block(blocks, f"{prefix}/b{i}"))
         i += 1
     if not arrays:
         return None
@@ -709,25 +698,15 @@ def load_eval_model(path) -> EvalModel:
     encoders = EncoderParams(nets=nets)
     if encoders.nets["a"].dims[-1] != encoders.nets["b"].dims[-1]:
         raise ContractError("encoder output dims disagree across modalities")
-    if "temperature/log_tau" not in blocks:
-        raise ContractError("checkpoint is missing block 'temperature/log_tau'")
-    tau_max = float(blocks.get("meta/tau_max", _scalar(100.0))[0, 0])
-    temperature = Temperature(init_tau=1.0, tau_max=tau_max)
-    temperature.block.value[...] = blocks["temperature/log_tau"]
-    targets = None
-    target_nets = {m: _net_from_blocks(blocks, f"target_{m}") for m in MODALITIES}
-    if all(net is not None for net in target_nets.values()):
-        targets = {m: AmortizerParams(net=target_nets[m]) for m in MODALITIES}
-    seed = int(blocks.get("meta/seed", _scalar(0.0))[0, 0])
-    eval_fraction = float(blocks.get("meta/eval_fraction", _scalar(0.1))[0, 0])
-    method = "amorlip" if blocks.get("meta/method", _scalar(1.0))[0, 0] == 1.0 else "clip"
+    temperature = Temperature(init_tau=1.0, tau_max=float(_block(blocks, "meta/tau_max")[0, 0]))
+    temperature.block.value[...] = _block(blocks, "temperature/log_tau")
+    targets = {m: _net_from_blocks(blocks, f"target_{m}") for m in MODALITIES}
     return EvalModel(
         encoders=encoders,
         temperature=temperature,
-        targets=targets,
-        seed=seed,
-        eval_fraction=eval_fraction,
-        method=method,
+        targets=targets if all(net is not None for net in targets.values()) else None,
+        seed=int(_block(blocks, "meta/seed")[0, 0]),
+        eval_fraction=float(_block(blocks, "meta/eval_fraction")[0, 0]),
     )
 
 
@@ -747,8 +726,9 @@ def amortizer_fidelity_experiment(
 
     Freezes the encoders after a short NCE pretrain, embeds the held-out
     slice, computes its slice-level log partitions (the empirical marginal,
-    exactly what partition_error measures), and fits fresh amortizers to
-    them with the squared log-gap objective over seeded minibatches.
+    as evaluate_model does), and fits fresh amortizers to them with the
+    squared log-gap objective over seeded minibatches. The reported gap is
+    measured against the same partitions.
 
     Each amortization round performs t_lambda optimizer iterations, as in
     the full training loop. The output bias warm-starts at the first
@@ -763,14 +743,8 @@ def amortizer_fidelity_experiment(
     _, eval_ds = split_eval(ds, cfg.eval_fraction, cfg.seed)
     tau = pre_state.temperature.tau
 
-    emb = {}
-    for m in MODALITIES:
-        batch = eval_ds.mod_a if m == "a" else eval_ds.mod_b
-        emb[m], _ = encode(pre_state.encoders, batch.astype(np.float64), m)
-    targets = {
-        "a": exact_partition(emb["a"], emb["b"], tau, include_positive=True).log_z_exact,
-        "b": exact_partition(emb["b"], emb["a"], tau, include_positive=True).log_z_exact,
-    }
+    emb, _ = _embed(pre_state, eval_ds, np.arange(eval_ds.n))
+    targets = _exact_log_z(emb, tau, include_positive=True)
 
     online = _draw_amortizers(cfg, "amortizer", FIDELITY_SALT)
     opt = AdamW(_store(online), lr=amortizer_lr)
@@ -786,7 +760,7 @@ def amortizer_fidelity_experiment(
                 break
             if done == 0:
                 for m in MODALITIES:
-                    online[m].net.biases[-1].value[0, 0] = float(np.mean(targets[m][idx]))
+                    online[m].biases[-1].value[0, 0] = float(np.mean(targets[m][idx]))
             opt.lr = amortizer_lr * 0.5 * (1.0 + math.cos(math.pi * done / total_steps))
             loss = 0.0
             opt.store.zero_grad()
@@ -796,15 +770,9 @@ def amortizer_fidelity_experiment(
             opt.step()
             done += 1
 
-    model = EvalModel(
-        encoders=pre_state.encoders,
-        temperature=pre_state.temperature,
-        targets=online,
-        seed=cfg.seed,
-        eval_fraction=cfg.eval_fraction,
-        method="amorlip",
+    median, mean = partition_gap_stats(
+        {m: amortize_forward(online[m], emb[m])[0] for m in MODALITIES}, targets
     )
-    median, mean = partition_error(model, eval_ds)
     return {
         "median_abs_log_z_err": median,
         "mean_abs_log_z_err": mean,

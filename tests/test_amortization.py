@@ -101,8 +101,8 @@ class TestExactPartition:
 class TestAmortizeForward:
     def test_zero_final_layer_returns_bias(self):
         theta = init_amortizer(4, 0.5, "a", (1, 2))
-        theta.net.weights[-1].value[...] = 0.0
-        theta.net.biases[-1].value[0, 0] = -2.75
+        theta.weights[-1].value[...] = 0.0
+        theta.biases[-1].value[0, 0] = -2.75
         emb = unit_batch(seeded_rng(71), 6, 4)
         log_lam, _ = amortize_forward(theta, emb)
         np.testing.assert_allclose(log_lam, -2.75)
@@ -115,8 +115,8 @@ class TestAmortizeForward:
         assert np.all(log_lam == log_lam[0])
 
     def test_hidden_width_from_dimension_factor(self):
-        assert init_amortizer(32, 0.5, "a", (0,)).net.dims == [32, 16, 16, 1]
-        assert init_amortizer(3, 0.4, "a", (0,)).net.dims == [3, 2, 2, 1]
+        assert init_amortizer(32, 0.5, "a", (0,)).dims == [32, 16, 16, 1]
+        assert init_amortizer(3, 0.4, "a", (0,)).dims == [3, 2, 2, 1]
 
     def test_dim_mismatch_rejected(self):
         theta = init_amortizer(4, 0.5, "a", (1, 4))

@@ -16,6 +16,15 @@ def stderr_line(capsys) -> str:
     return lines[0]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json_lines(text):
+    """Parse JSON lines, rejecting the Infinity and NaN that json.dumps allows."""
+    return [json.loads(line, parse_constant=_reject_constant) for line in text.strip().splitlines()]
+
+
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -309,6 +318,24 @@ class TestEval:
         assert "non-finite value in block 'temperature/log_tau'" in line
         assert f"(byte offset {offset})" in line
 
+    @pytest.mark.parametrize("block", ["meta/seed", "meta/eval_fraction", "meta/tau_max"])
+    def test_missing_meta_block_exits_1(self, data_path, tmp_path, capsys, block):
+        # eval holds out the split and clamps tau from these blocks: no defaults
+        cfg = TrainConfig(epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16, seed=5)
+        ckpt = tmp_path / "meta.ckpt"
+        checkpoint_save(init_train_state(cfg, generate_synthetic(300, 4, 10, 9, 0.05, seed=11)), ckpt)
+        blob = ckpt.read_bytes()
+        start = blob.index(block.encode()) - 4  # its name length
+        end = start + 4 + len(block) + 8 + 8  # name, (1, 1) header, one float64
+        (count,) = struct.unpack_from("<I", blob, 6)
+        ckpt.write_bytes(blob[:6] + struct.pack("<I", count - 1) + blob[10:start] + blob[end:])
+        assert (
+            main(["eval", "--data", str(data_path), "--checkpoint", str(ckpt),
+                  "--report", str(tmp_path / "r.json")])
+            == 1
+        )
+        assert stderr_line(capsys) == f"amorlip: checkpoint is missing block {block!r}"
+
     def test_missing_checkpoint_exits_3(self, data_path, tmp_path):
         assert (
             main(["eval", "--data", str(data_path), "--checkpoint", str(tmp_path / "no.ckpt"),
@@ -320,26 +347,26 @@ class TestEval:
 class TestVerify:
     def test_schedules_suite_passes(self, capsys):
         assert main(["verify", "schedules"]) == 0
-        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        lines = strict_json_lines(capsys.readouterr().out)
         assert all(c["status"] == "pass" for c in lines)
         assert {"check", "status", "value", "tolerance"} <= set(lines[0])
 
     def test_equivalence_suite_passes(self, capsys):
         assert main(["verify", "equivalence"]) == 0
-        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        lines = strict_json_lines(capsys.readouterr().out)
         assert all(c["status"] == "pass" for c in lines)
 
     def test_spectral_tiny_feature_count_fails(self, capsys):
         assert main(["verify", "spectral", "--features", "10"]) == 2
-        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        lines = strict_json_lines(capsys.readouterr().out)
         assert any(c["status"] == "fail" for c in lines)
 
     def test_spectral_single_feature_fails_without_traceback(self, capsys):
         # one feature has no spread to measure: infinite standard errors
         assert main(["verify", "spectral", "--features", "1"]) == 2
         out, err = capsys.readouterr()
-        lines = [json.loads(l) for l in out.strip().splitlines()]
-        assert {c["check"]: c["status"] for c in lines}["spectral/relative_se"] == "fail"
+        relative_se = {c["check"]: c for c in strict_json_lines(out)}["spectral/relative_se"]
+        assert relative_se["status"] == "fail" and relative_se["value"] == "inf"
         assert err == ""
 
     @pytest.mark.parametrize("features", ["0", "-5"])

@@ -5,13 +5,12 @@ import pytest
 
 from amorlip.data import PairedDataset, generate_synthetic, split_eval
 from amorlip.encoders import EmbeddingBatch
-from amorlip.errors import ConfigError, ContractError
+from amorlip.errors import ContractError
 from amorlip.evaluation import (
+    _partner_ranks,
     class_prototypes,
     evaluate_model,
-    partition_error,
     partition_gap_stats,
-    recall_at_k,
     zero_shot_accuracy,
 )
 from amorlip.numerics import seeded_rng
@@ -34,18 +33,24 @@ def brute_force_recall(scores, k):
     return hits / m
 
 
+def recall(a, b, k):
+    """Recall@k in both directions from the partner ranks evaluate_model uses."""
+    ranks_ab, ranks_ba = _partner_ranks(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"))
+    return float(np.mean(ranks_ab <= k)), float(np.mean(ranks_ba <= k))
+
+
 class TestRecallAtK:
     def test_identical_batches_full_recall(self):
         rng = seeded_rng(201)
         e = unit_rows(rng, 6, 5)
-        ab, ba = recall_at_k(EmbeddingBatch(e, "a"), EmbeddingBatch(e.copy(), "b"), 1)
+        ab, ba = recall(e, e.copy(), 1)
         assert ab == 1.0 and ba == 1.0
 
     def test_reversed_rows_zero_recall(self):
         # even count: reversal leaves no row in place
         rng = seeded_rng(202)
         e = unit_rows(rng, 6, 6)
-        ab, ba = recall_at_k(EmbeddingBatch(e, "a"), EmbeddingBatch(e[::-1].copy(), "b"), 1)
+        ab, ba = recall(e, e[::-1].copy(), 1)
         assert ab == 0.0 and ba == 0.0
 
     def test_matches_exhaustive_oracle(self):
@@ -54,7 +59,7 @@ class TestRecallAtK:
         b = unit_rows(rng, 5, 4)
         scores = a @ b.T
         for k in (1, 2, 5):
-            ab, ba = recall_at_k(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"), k)
+            ab, ba = recall(a, b, k)
             assert ab == brute_force_recall(scores, k)
             assert ba == brute_force_recall(scores.T, k)
 
@@ -62,23 +67,16 @@ class TestRecallAtK:
         # rows 0 and 1 of b are identical: query 1 ties and loses at k = 1
         b = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        ab, _ = recall_at_k(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"), 1)
-        assert ab == pytest.approx(2.0 / 3.0)
+        ranks_ab, _ = _partner_ranks(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"))
+        assert ranks_ab.tolist() == [1, 2, 1]
+        assert recall(a, b, 1)[0] == pytest.approx(2.0 / 3.0)
 
     def test_invariant_under_joint_permutation(self):
         rng = seeded_rng(204)
         a = unit_rows(rng, 8, 5)
         b = unit_rows(rng, 8, 5)
         perm = rng.permutation(8)
-        r1 = recall_at_k(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"), 2)
-        r2 = recall_at_k(EmbeddingBatch(a[perm], "a"), EmbeddingBatch(b[perm], "b"), 2)
-        assert r1 == r2
-
-    def test_bad_k_rejected(self):
-        rng = seeded_rng(205)
-        e = unit_rows(rng, 4, 3)
-        with pytest.raises(ConfigError):
-            recall_at_k(EmbeddingBatch(e, "a"), EmbeddingBatch(e, "b"), 5)
+        assert recall(a, b, 2) == recall(a[perm], b[perm], 2)
 
 
 class TestZeroShot:
@@ -148,17 +146,23 @@ class TestPrototypes:
 
 class TestPartitionStats:
     def test_gap_stats_basic(self):
-        z = seeded_rng(231).standard_normal(9)
+        z = {"a": seeded_rng(231).standard_normal(9), "b": seeded_rng(233).standard_normal(4)}
         med, mean = partition_gap_stats(z, z)
         assert med == 0.0 and mean == 0.0
-        med, mean = partition_gap_stats(z + 0.2, z)
+        med, mean = partition_gap_stats({m: v + 0.2 for m, v in z.items()}, z)
         assert abs(med - 0.2) < 1e-15 and abs(mean - 0.2) < 1e-15
+        # pooled over both modalities: the median spans the a and b gaps
+        med, mean = partition_gap_stats({"a": z["a"] + 0.1, "b": z["b"] + 0.3}, z)
+        assert abs(med - 0.1) < 1e-15 and abs(mean - (9 * 0.1 + 4 * 0.3) / 13) < 1e-15
 
     def test_shift_invariance(self):
         rng = seeded_rng(232)
-        lam, z = rng.standard_normal(20), rng.standard_normal(20)
+        lam = {"a": rng.standard_normal(20), "b": rng.standard_normal(20)}
+        z = {"a": rng.standard_normal(20), "b": rng.standard_normal(20)}
         base = partition_gap_stats(lam, z)
-        shifted = partition_gap_stats(lam + 3.7, z + 3.7)
+        shifted = partition_gap_stats(
+            {m: v + 3.7 for m, v in lam.items()}, {m: v + 3.7 for m, v in z.items()}
+        )
         np.testing.assert_allclose(shifted, base, rtol=1e-12)
 
     def test_partition_error_exact_amortizer(self):
@@ -182,25 +186,26 @@ class TestPartitionStats:
             "b": exact_partition(emb["b"], emb["a"], tau).log_z_exact[0],
         }
         for m in ("a", "b"):
-            net = state.targets[m].ema.net
+            net = state.targets[m].ema
             for w in net.weights:
                 w.value[...] = 0.0
             for b in net.biases:
                 b.value[...] = 0.0
             net.biases[-1].value[0, 0] = constant_log_z[m]
-        med, mean = partition_error(state, ds)
-        assert med < 1e-12 and mean < 1e-12
+        report = evaluate_model(state, ds)
+        assert report.median_abs_log_z_err < 1e-12 and report.mean_abs_log_z_err < 1e-12
         for m in ("a", "b"):
-            state.targets[m].ema.net.biases[-1].value[0, 0] = constant_log_z[m] + 0.2
-        med, mean = partition_error(state, ds)
-        assert abs(med - 0.2) < 1e-12
+            state.targets[m].ema.biases[-1].value[0, 0] = constant_log_z[m] + 0.2
+        report = evaluate_model(state, ds)
+        assert abs(report.median_abs_log_z_err - 0.2) < 1e-12
+        assert abs(report.mean_abs_log_z_err - 0.2) < 1e-12
 
     def test_partition_error_requires_amortizers(self):
         ds = generate_synthetic(60, 3, 6, 5, 0.05, seed=4)
         cfg = TrainConfig(method="clip", epochs=1, batch_size=8, embed_dim=6, encoder_hidden=8, seed=4)
         state = run_clip_baseline(cfg, ds)
-        with pytest.raises(ContractError):
-            partition_error(state, ds)
+        report = evaluate_model(state, ds)
+        assert report.median_abs_log_z_err is None and report.mean_abs_log_z_err is None
 
 
 class TestEvaluateModel:

@@ -11,23 +11,28 @@ from amorlip.numerics import (
     finite_difference_gradient,
     gradcheck_error,
     l2_normalize_rows,
-    logsumexp,
     max_relative_discrepancy,
+    row_logsumexp,
     seeded_rng,
 )
 
 
+def one_row_logsumexp(values) -> float:
+    (value,) = row_logsumexp(np.array([values], dtype=np.float64))
+    return float(value)
+
+
 class TestLogsumexp:
     def test_symmetric_two_terms(self):
-        assert abs(logsumexp([0.0, 0.0]) - math.log(2.0)) < 1e-15
+        assert abs(one_row_logsumexp([0.0, 0.0]) - math.log(2.0)) < 1e-15
 
     def test_shift_of_large_inputs(self):
         # max-subtraction keeps huge inputs finite
-        assert abs(logsumexp([1000.0, 1000.0]) - (1000.0 + math.log(2.0))) < 1e-12
+        assert abs(one_row_logsumexp([1000.0, 1000.0]) - (1000.0 + math.log(2.0))) < 1e-12
 
     def test_three_terms_against_direct_sum(self):
         oracle = math.log(1.0 + math.e + math.e**2)
-        value = logsumexp([0.0, 1.0, 2.0])
+        value = one_row_logsumexp([0.0, 1.0, 2.0])
         assert abs(value - oracle) < 1e-12
         assert abs(value - 2.40760596) < 1e-7
 
@@ -36,15 +41,14 @@ class TestLogsumexp:
         for _ in range(30):
             v = rng.standard_normal(int(rng.integers(1, 12))) * 5.0
             c = float(rng.uniform(-40, 40))
-            assert abs(logsumexp(v + c) - (logsumexp(v) + c)) <= 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            logsumexp([])
+            assert abs(one_row_logsumexp(v + c) - (one_row_logsumexp(v) + c)) <= 1e-12
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            logsumexp([0.0, np.inf])
+        # -inf masks an entry, but a row needs a finite maximum
+        assert one_row_logsumexp([0.0, -np.inf]) == 0.0
+        for row in ([0.0, np.inf], [0.0, np.nan], [-np.inf, -np.inf]):
+            with pytest.raises(DomainError):
+                one_row_logsumexp(row)
 
 
 class TestL2NormalizeRows:

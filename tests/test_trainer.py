@@ -207,8 +207,8 @@ class TestTrainingRuns:
         # mid-epoch counters keep the epoch rotation from re-initializing it,
         # and the failing step 2 runs neither the amortization stage nor the EMA
         for m in ("a", "b"):
-            state.targets[m].ema.net.weights[-1].value[...] = 0.0
-            state.targets[m].ema.net.biases[-1].value[0, 0] = -800.0
+            state.targets[m].ema.weights[-1].value[...] = 0.0
+            state.targets[m].ema.biases[-1].value[0, 0] = -800.0
         state.epoch = 1
         state.step_in_epoch = 1
         state.global_step = 1
@@ -225,7 +225,7 @@ class TestTrainingRuns:
 
         def overflowing(theta, emb, log_z_target):
             loss = real(theta, emb, log_z_target)
-            theta.net.weights[0].grad[...] = 1e200  # its square overflows
+            theta.weights[0].grad[...] = 1e200  # its square overflows
             return loss
 
         monkeypatch.setattr(trainer_mod, "loss_l2log", overflowing)
@@ -399,7 +399,6 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         checkpoint_save(state, path)
         model = load_eval_model(path)
-        assert model.method == "amorlip"
         assert model.seed == cfg.seed
         assert model.targets is not None
         assert model.temperature.tau == state.temperature.tau
@@ -426,7 +425,6 @@ class TestCheckpoints:
         path = tmp_path / "c.ckpt"
         checkpoint_save(state, path)
         model = load_eval_model(path)
-        assert model.method == "clip"
         assert model.targets is None
 
 
