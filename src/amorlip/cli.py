@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .data import generate_synthetic, load_dataset, save_dataset, split_eval
@@ -138,6 +139,15 @@ def _cmd_train(args) -> int:
         print(f"amorlip: cannot read dataset: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    if args.checkpoint is not None:
+        # fail before the first step, not after the last: checkpoint_save
+        # writes this file, then renames it to the checkpoint path
+        try:
+            open(args.checkpoint + ".tmp", "wb").close()
+            os.remove(args.checkpoint + ".tmp")
+        except OSError as exc:
+            print(f"amorlip: cannot write checkpoint: {exc}", file=sys.stderr)
+            return EXIT_IO
     metrics = MetricsWriter(args.metrics)
     try:
         state = run_training(cfg, ds, metrics)
@@ -171,7 +181,7 @@ def _cmd_eval(args) -> int:
     except OSError as exc:
         print(f"amorlip: cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    _, eval_ds = split_eval(ds, model.eval_fraction, model.seed)
+    _, eval_ds = split_eval(ds, model.config.eval_fraction, model.config.seed)
     report = evaluate_model(model, eval_ds)
     payload = json.dumps(report.to_json_dict(), indent=2)
     try:

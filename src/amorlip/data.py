@@ -84,8 +84,8 @@ def generate_synthetic(
         raise ConfigError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
     if dim_a < 2 or dim_b < 2:
         raise ConfigError(f"modality dims must be >= 2, got {dim_a}, {dim_b}")
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = seeded_rng(seed)
@@ -95,13 +95,16 @@ def generate_synthetic(
     map_a = rng.standard_normal((latent, dim_a)) / math.sqrt(latent)
     map_b = rng.standard_normal((latent, dim_b)) / math.sqrt(latent)
     labels = rng.integers(0, num_classes, size=n)
-    mod_a = protos[labels] @ map_a + noise_sigma * rng.standard_normal((n, dim_a))
-    mod_b = protos[labels] @ map_b + noise_sigma * rng.standard_normal((n, dim_b))
+    # a large noise_sigma overflows here or in the float32 cast; that is
+    # reported below, as a ConfigError, not as a warning
+    with np.errstate(over="ignore"):
+        mod_a = protos[labels] @ map_a + noise_sigma * rng.standard_normal((n, dim_a))
+        mod_b = protos[labels] @ map_b + noise_sigma * rng.standard_normal((n, dim_b))
+        mod_a, mod_b = mod_a.astype(np.float32), mod_b.astype(np.float32)
+    if not (np.isfinite(mod_a).all() and np.isfinite(mod_b).all()):
+        raise ConfigError(f"noise_sigma {noise_sigma} gives features not finite in float32")
     return PairedDataset(
-        mod_a=mod_a.astype(np.float32),
-        mod_b=mod_b.astype(np.float32),
-        labels=labels.astype(np.uint32),
-        num_classes=num_classes,
+        mod_a=mod_a, mod_b=mod_b, labels=labels.astype(np.uint32), num_classes=num_classes
     )
 
 

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amortization import TargetAmortizer, amortize_forward, exact_partition
+from .amortization import amortize_forward, exact_partition
 from .data import PairedDataset
 from .encoders import MODALITIES, EmbeddingBatch, encode
 from .errors import ConfigError, ContractError
-from .net import Mlp
 from .numerics import Array
 
 
@@ -105,13 +104,6 @@ def partition_gap_stats(log_lam: dict[str, Array], log_z: dict[str, Array]) -> t
     return float(np.median(gaps)), float(np.mean(gaps))
 
 
-def _target_net(model, modality: str) -> Mlp:
-    tgt = model.targets[modality]
-    if isinstance(tgt, TargetAmortizer):
-        return tgt.ema
-    return tgt
-
-
 def _embed_slice(model, ds_slice: PairedDataset) -> dict[str, EmbeddingBatch]:
     emb = {}
     for m in MODALITIES:
@@ -127,14 +119,16 @@ def _partition_gaps(model, emb: dict[str, EmbeddingBatch]) -> tuple[float, float
     log_lam, log_z = {}, {}
     for m, mp in (("a", "b"), ("b", "a")):
         log_z[m] = exact_partition(emb[m], emb[mp], tau, include_positive=True).log_z_exact
-        log_lam[m] = amortize_forward(_target_net(model, m), emb[m])[0]
+        log_lam[m] = amortize_forward(model.targets[m].ema, emb[m])[0]
     return partition_gap_stats(log_lam, log_z)
 
 
 def evaluate_model(model, eval_ds: PairedDataset) -> EvalReport:
-    """Full evaluation on a held-out slice: retrieval in both directions,
-    zero-shot accuracy of modality-a samples against modality-b class
-    prototypes, and amortizer statistics when the model carries amortizers.
+    """Full evaluation of a trainer.TrainState (a trained one, or one that
+    load_eval_model read back) on a held-out slice: retrieval in both
+    directions, zero-shot accuracy of modality-a samples against modality-b
+    class prototypes, and the EMA target amortizers' partition gaps when the
+    state carries amortizers.
     The slice is embedded once, and the partner ranks are computed once per
     direction for both recall cut-offs."""
     emb = _embed_slice(model, eval_ds)
@@ -143,7 +137,7 @@ def evaluate_model(model, eval_ds: PairedDataset) -> EvalReport:
     protos = class_prototypes(emb["b"], eval_ds.labels, eval_ds.num_classes)
     acc = zero_shot_accuracy(emb["a"], protos, eval_ds.labels)
     median = mean = None
-    if getattr(model, "targets", None) is not None:
+    if model.targets is not None:
         median, mean = _partition_gaps(model, emb)
     return EvalReport(
         recall_at_1_ab=float(np.mean(ranks_ab <= 1)),

@@ -38,25 +38,6 @@ class Mlp:
             self.weights.append(ParamBlock(f"{name}/w{i}", w))
             self.biases.append(ParamBlock(f"{name}/b{i}", np.zeros((1, fan_out))))
 
-    @classmethod
-    def from_arrays(cls, name: str, arrays: list[Array]) -> "Mlp":
-        """Rebuild a network from alternating [w0, b0, w1, b1, ...] arrays."""
-        if len(arrays) < 2 or len(arrays) % 2 != 0:
-            raise ContractError(f"{name}: expected alternating weight/bias arrays")
-        weights = arrays[0::2]
-        dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
-        net = cls.__new__(cls)
-        net.dims = dims
-        net.name = name
-        net.weights = []
-        net.biases = []
-        for i, (w, b) in enumerate(zip(arrays[0::2], arrays[1::2])):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (1, dims[i + 1]):
-                raise ContractError(f"{name}/layer{i}: inconsistent shapes {w.shape}, {b.shape}")
-            net.weights.append(ParamBlock(f"{name}/w{i}", w))
-            net.biases.append(ParamBlock(f"{name}/b{i}", b))
-        return net
-
     @property
     def n_layers(self) -> int:
         return len(self.weights)

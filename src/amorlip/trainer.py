@@ -10,6 +10,7 @@ amortization stage runs (once per trigger, regardless of inner iterations).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .amortization import (
     TargetAmortizer,
     amortize_backward,
     amortize_forward,
+    amortizer_hidden_dim,
     beta_schedule,
     combined_target,
     ema_update,
@@ -60,9 +62,20 @@ METHODS = ("amorlip", "clip")
 OBJECTIVES = ("l2log", "fdiv")
 TRAIN_GENERATORS = ("kl", "kl_affine", "js")
 
+# the config fields that take one of a fixed set of values; a checkpoint
+# stores a value's index in its tuple
+CONFIG_CHOICES = {
+    "method": METHODS,
+    "objective": OBJECTIVES,
+    "generator": TRAIN_GENERATORS,
+    "include_positive": (False, True),
+}
+
 CKPT_MAGIC = b"AMCK1\n"
-# meta/seed is stored as float64, which holds every integer below this exactly
-SEED_LIMIT = 2**53
+# a checkpoint stores every config field as a float64, which holds every
+# integer below this exactly
+INT_LIMIT = 2**53
+COUNTERS = ("epoch", "step_in_epoch", "global_step", "gather_count")
 
 
 @dataclass
@@ -105,14 +118,14 @@ class TrainConfig:
             value = getattr(self, field.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"config key {field.name!r} must be finite, got {value!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.objective not in OBJECTIVES:
-            raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.generator not in TRAIN_GENERATORS:
-            raise ConfigError(
-                f"generator must be one of {TRAIN_GENERATORS}, got {self.generator!r}"
-            )
+            if type(field.default) is int and value >= INT_LIMIT:
+                raise ConfigError(
+                    f"config key {field.name!r} must be below 2**53, since a checkpoint stores"
+                    f" it as a float64, got {value}"
+                )
+        for key, choices in CONFIG_CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
         if self.epochs < 1 or self.batch_size < 2:
             raise ConfigError(f"need epochs >= 1 and batch_size >= 2, got {self.epochs}, {self.batch_size}")
         if min(self.t_lambda, self.t_online, self.t_target) < 1:
@@ -121,8 +134,10 @@ class TrainConfig:
             raise ConfigError("alpha and beta_final must lie in [0, 1]")
         if self.embed_dim < 1 or self.encoder_hidden < 1 or self.encoder_depth < 0:
             raise ConfigError("invalid encoder sizes")
-        if self.f_d <= 0:
-            raise ConfigError(f"f_d must be positive, got {self.f_d}")
+        if self.f_d <= 0 or not math.isfinite(self.f_d * self.embed_dim):
+            raise ConfigError(
+                f"f_d must be positive, with a finite width f_d * embed_dim, got {self.f_d}"
+            )
         if self.lr_encoder <= 0 or self.lr_amortizer <= 0:
             raise ConfigError("learning rates must be positive")
         if self.weight_decay < 0 or self.fdiv_l2log_coef < 0:
@@ -147,11 +162,6 @@ class TrainConfig:
             raise ConfigError("log_every must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
-        if self.seed >= SEED_LIMIT:
-            raise ConfigError(
-                f"config key 'seed' must be below 2**53, since a checkpoint stores it as a"
-                f" float64, got {self.seed}"
-            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -242,9 +252,13 @@ def _store(amortizers: dict[str, Mlp]) -> ParamStore:
 def init_train_state(cfg: TrainConfig, ds: PairedDataset) -> TrainState:
     """Fresh encoders, temperature, amortizers (for the amortized method)
     and their optimizers, all seeded from cfg.seed."""
+    return _new_state(cfg, {"a": ds.dim_a, "b": ds.dim_b})
+
+
+def _new_state(cfg: TrainConfig, input_dims: dict[str, int]) -> TrainState:
     cfg.validate()
     encoders = init_encoders(
-        {"a": ds.dim_a, "b": ds.dim_b},
+        input_dims,
         hidden=cfg.encoder_hidden,
         depth=cfg.encoder_depth,
         embed_dim=cfg.embed_dim,
@@ -546,8 +560,8 @@ def _optimizers(state: TrainState) -> list[tuple[str, AdamW]]:
 def state_blocks(state: TrainState) -> list[tuple[str, Array]]:
     """Named 2-D float64 payloads, in a fixed order: the encoders and the
     temperature, the online, EMA and previous-epoch amortizers, each
-    optimizer's moments and step, then the counters and run metadata.
-    Parameters and moments are views into the state."""
+    optimizer's moments and step, the counters, then the config (see
+    load_eval_model). Parameters and moments are views into the state."""
     stores = [state.opt_encoder.store]
     if state.opt_amortizer is not None:
         stores += [state.opt_amortizer.store, state.ema_store, state.prev_store]
@@ -557,18 +571,13 @@ def state_blocks(state: TrainState) -> list[tuple[str, Array]]:
             out.append((f"{tag}/m/{b.name}", opt.m[b.name]))
             out.append((f"{tag}/v/{b.name}", opt.v[b.name]))
         out.append((f"{tag}/t", _scalar(opt.t)))
-    out.extend(
-        [
-            ("meta/epoch", _scalar(state.epoch)),
-            ("meta/step_in_epoch", _scalar(state.step_in_epoch)),
-            ("meta/global_step", _scalar(state.global_step)),
-            ("meta/gather_count", _scalar(state.gather_count)),
-            ("meta/seed", _scalar(state.config.seed)),
-            ("meta/eval_fraction", _scalar(state.config.eval_fraction)),
-            ("meta/method", _scalar(1.0 if state.config.method == "amorlip" else 0.0)),
-            ("meta/tau_max", _scalar(state.config.tau_max)),
-        ]
-    )
+    out += [(f"meta/{key}", _scalar(getattr(state, key))) for key in COUNTERS]
+    # duplicates cfg/tau_max: the benchmark's own AMCK1 reader clamps tau with it
+    out.append(("meta/tau_max", _scalar(state.config.tau_max)))
+    for key, value in state.config.to_dict().items():
+        if key in CONFIG_CHOICES:
+            value = CONFIG_CHOICES[key].index(value)
+        out.append((f"cfg/{key}", _scalar(value)))
     return out
 
 
@@ -631,83 +640,85 @@ def checkpoint_load_blocks(path) -> dict[str, Array]:
     return blocks
 
 
-def _block(blocks: dict[str, Array], name: str) -> Array:
+def _block(blocks: dict[str, Array], name: str, shape: tuple[int, ...] | None = None) -> Array:
     if name not in blocks:
         raise ContractError(f"checkpoint is missing block {name!r}")
+    if shape is not None and blocks[name].shape != shape:
+        raise ContractError(
+            f"block {name!r}: checkpoint shape {blocks[name].shape} != expected {shape}"
+        )
     return blocks[name]
 
 
-def _load_into(block_values: dict[str, Array], name: str, dest: Array) -> None:
-    src = _block(block_values, name)
-    if src.shape != dest.shape:
-        raise ContractError(
-            f"block {name!r}: checkpoint shape {src.shape} != expected {dest.shape}"
-        )
-    dest[...] = src
+def _stored_config(blocks: dict[str, Array]) -> TrainConfig:
+    """The cfg/<field> blocks, decoded and validated by TrainConfig.from_dict."""
+    values = {}
+    for field in dataclasses.fields(TrainConfig):
+        name = f"cfg/{field.name}"
+        raw = float(_block(blocks, name, (1, 1))[0, 0])
+        choices = CONFIG_CHOICES.get(field.name)
+        if type(field.default) is float:
+            values[field.name] = raw
+        elif not raw.is_integer() or (choices is not None and not 0 <= raw < len(choices)):
+            what = "an integer" if choices is None else f"an index into {choices}"
+            raise ConfigError(f"checkpoint block {name!r} holds {raw!r}, not {what}")
+        else:
+            values[field.name] = int(raw) if choices is None else choices[int(raw)]
+    return TrainConfig.from_dict(values)
 
 
-def restore_train_state(cfg: TrainConfig, ds: PairedDataset, path) -> TrainState:
-    """Rebuild a TrainState for resumption; cfg must match the saved run."""
+def _input_dims(cfg: TrainConfig, blocks: dict[str, Array]) -> dict[str, int]:
+    """The encoder input dims, from the encoder_*/w0 rows, once every weight
+    shape that cfg's network sizes imply is found in the blocks: no size is
+    allocated that the checkpoint does not hold."""
+    dims = {}
+    for m in MODALITIES:
+        dims[m] = _block(blocks, f"encoder_{m}/w0").shape[0]
+        hidden = itertools.repeat(cfg.encoder_hidden, cfg.encoder_depth)
+        widths = {f"encoder_{m}": itertools.chain([dims[m]], hidden, [cfg.embed_dim])}
+        if cfg.method == "amorlip":
+            h = amortizer_hidden_dim(cfg.embed_dim, cfg.f_d)
+            widths[f"target_{m}"] = [cfg.embed_dim, h, h, 1]
+        for prefix, layers in widths.items():
+            for i, shape in enumerate(itertools.pairwise(layers)):
+                _block(blocks, f"{prefix}/w{i}", shape)
+    return dims
+
+
+def load_eval_model(path) -> TrainState:
+    """Rebuild the TrainState a checkpoint holds, from the checkpoint alone:
+    the stored config fixes every size and seed, the encoder_*/w0 rows give
+    the input dims, and every block that state_blocks lists is loaded in
+    place. A missing or misshapen block is a ContractError naming it."""
     blocks = checkpoint_load_blocks(path)
-    method = "amorlip" if _block(blocks, "meta/method")[0, 0] == 1.0 else "clip"
-    if method != cfg.method:
-        raise ConfigError(f"checkpoint was written by method {method!r}, config says {cfg.method!r}")
-    state = init_train_state(cfg, ds)
+    cfg = _stored_config(blocks)
+    state = _new_state(cfg, _input_dims(cfg, blocks))
     for name, dest in state_blocks(state):
-        _load_into(blocks, name, dest)  # parameters and moments load in place
+        dest[...] = _block(blocks, name, dest.shape)
     for tag, opt in _optimizers(state):
         opt.t = int(blocks[f"{tag}/t"][0, 0])
-    for key in ("epoch", "step_in_epoch", "global_step", "gather_count"):
+    for key in COUNTERS:
         setattr(state, key, int(blocks[f"meta/{key}"][0, 0]))
     return state
 
 
-@dataclass
-class EvalModel:
-    """The read-only slice of a checkpoint needed for evaluation."""
-
-    encoders: EncoderParams
-    temperature: Temperature
-    targets: dict[str, Mlp] | None
-    seed: int
-    eval_fraction: float
-
-
-def _net_from_blocks(blocks: dict[str, Array], prefix: str) -> Mlp | None:
-    arrays = []
-    i = 0
-    while f"{prefix}/w{i}" in blocks:
-        arrays.append(blocks[f"{prefix}/w{i}"])
-        arrays.append(_block(blocks, f"{prefix}/b{i}"))
-        i += 1
-    if not arrays:
-        return None
-    return Mlp.from_arrays(prefix, arrays)
-
-
-def load_eval_model(path) -> EvalModel:
-    """Rebuild encoders, temperature and target amortizers from a checkpoint
-    alone; layer shapes are recovered from the stored blocks."""
-    blocks = checkpoint_load_blocks(path)
-    nets = {}
-    for m in MODALITIES:
-        net = _net_from_blocks(blocks, f"encoder_{m}")
-        if net is None:
-            raise ContractError(f"checkpoint has no encoder for modality {m!r}")
-        nets[m] = net
-    encoders = EncoderParams(nets=nets)
-    if encoders.nets["a"].dims[-1] != encoders.nets["b"].dims[-1]:
-        raise ContractError("encoder output dims disagree across modalities")
-    temperature = Temperature(init_tau=1.0, tau_max=float(_block(blocks, "meta/tau_max")[0, 0]))
-    temperature.block.value[...] = _block(blocks, "temperature/log_tau")
-    targets = {m: _net_from_blocks(blocks, f"target_{m}") for m in MODALITIES}
-    return EvalModel(
-        encoders=encoders,
-        temperature=temperature,
-        targets=targets if all(net is not None for net in targets.values()) else None,
-        seed=int(_block(blocks, "meta/seed")[0, 0]),
-        eval_fraction=float(_block(blocks, "meta/eval_fraction")[0, 0]),
-    )
+def restore_train_state(cfg: TrainConfig, ds: PairedDataset, path) -> TrainState:
+    """The checkpoint's TrainState, for resuming the run that wrote it: cfg
+    must equal the stored config field by field (ConfigError naming the
+    first that differs), and ds must have the stored input dims."""
+    state = load_eval_model(path)
+    for key, stored in state.config.to_dict().items():
+        if getattr(cfg, key) != stored:
+            raise ConfigError(
+                f"config key {key!r} is {getattr(cfg, key)!r}, the checkpoint stores {stored!r}"
+            )
+    for m, dim in (("a", ds.dim_a), ("b", ds.dim_b)):
+        rows = state.encoders.nets[m].dims[0]
+        if rows != dim:
+            raise ContractError(
+                f"block 'encoder_{m}/w0': {rows} input rows, the dataset's modality {m!r} has {dim}"
+            )
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 import json
 import math
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from amorlip.cli import main
 from amorlip.data import dataset_file_size, generate_synthetic, save_dataset
-from amorlip.trainer import TrainConfig, checkpoint_save, init_train_state
+from amorlip.trainer import (
+    CKPT_MAGIC,
+    TrainConfig,
+    checkpoint_load_blocks,
+    checkpoint_save,
+    init_train_state,
+)
 from amorlip.verify import MAX_FEATURES
 
 
@@ -31,6 +39,19 @@ def read_jsonl(path):
 
 def strip_wall(records):
     return [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
+
+
+def rewrite_blocks(path, edit):
+    """Apply edit to a checkpoint's {name: array} blocks and write them back
+    as AMCK1, in their order."""
+    blocks = checkpoint_load_blocks(path)
+    edit(blocks)
+    parts = [CKPT_MAGIC, struct.pack("<I", len(blocks))]
+    for name, value in blocks.items():
+        raw = name.encode()
+        parts += [struct.pack("<I", len(raw)), raw, struct.pack("<II", *value.shape)]
+        parts.append(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    path.write_bytes(b"".join(parts))
 
 
 @pytest.fixture()
@@ -78,6 +99,18 @@ class TestGenData:
     def test_bad_params_exit_1(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x.apds"), "--classes", "1"]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "noise, message",
+        [("nan", "noise_sigma must be finite and >= 0, got nan"),
+         ("1e300", "noise_sigma 1e+300 gives features not finite in float32")],
+    )
+    def test_bad_noise_exits_1(self, tmp_path, capsys, noise, message):
+        out = tmp_path / "x.apds"
+        assert main(["gen-data", "--out", str(out), "--n", "100", "--noise", noise]) == 1
+        assert stderr_line(capsys) == f"amorlip: {message}"
+        assert not out.exists()
+
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.apds"
         assert main(["gen-data", "--out", str(out), "--seed", "-3"]) == 1
@@ -119,6 +152,17 @@ class TestTrain:
         assert set(records[0]) == expected_keys
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["method"] == "amorlip"
+
+    def test_unwritable_checkpoint_exits_3_before_training(self, data_path, tiny_config, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        ckpt = tmp_path / "missing-dir" / "c.ckpt"
+        code = main(
+            ["train", "--data", str(data_path), "--config", str(tiny_config),
+             "--metrics", str(metrics), "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        assert stderr_line(capsys).startswith("amorlip: cannot write checkpoint: ")
+        assert not metrics.exists()
 
     def test_identical_invocations_identical_metrics(self, data_path, tiny_config, tmp_path):
         m1, m2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
@@ -318,23 +362,74 @@ class TestEval:
         assert "non-finite value in block 'temperature/log_tau'" in line
         assert f"(byte offset {offset})" in line
 
-    @pytest.mark.parametrize("block", ["meta/seed", "meta/eval_fraction", "meta/tau_max"])
+    def eval_edited(self, data_path, tmp_path, edit, method="amorlip"):
+        """Exit code of eval on a fresh checkpoint whose blocks edit changed."""
+        cfg = TrainConfig(method=method, epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16)
+        ckpt = tmp_path / "edited.ckpt"
+        checkpoint_save(init_train_state(cfg, generate_synthetic(300, 4, 10, 9, 0.05, seed=11)), ckpt)
+        rewrite_blocks(ckpt, edit)
+        return main(["eval", "--data", str(data_path), "--checkpoint", str(ckpt),
+                     "--report", str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize("block", ["cfg/seed", "cfg/eval_fraction", "meta/tau_max"])
     def test_missing_meta_block_exits_1(self, data_path, tmp_path, capsys, block):
         # eval holds out the split and clamps tau from these blocks: no defaults
-        cfg = TrainConfig(epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16, seed=5)
-        ckpt = tmp_path / "meta.ckpt"
-        checkpoint_save(init_train_state(cfg, generate_synthetic(300, 4, 10, 9, 0.05, seed=11)), ckpt)
-        blob = ckpt.read_bytes()
-        start = blob.index(block.encode()) - 4  # its name length
-        end = start + 4 + len(block) + 8 + 8  # name, (1, 1) header, one float64
-        (count,) = struct.unpack_from("<I", blob, 6)
-        ckpt.write_bytes(blob[:6] + struct.pack("<I", count - 1) + blob[10:start] + blob[end:])
-        assert (
-            main(["eval", "--data", str(data_path), "--checkpoint", str(ckpt),
-                  "--report", str(tmp_path / "r.json")])
-            == 1
-        )
+        assert self.eval_edited(data_path, tmp_path, lambda blocks: blocks.pop(block)) == 1
         assert stderr_line(capsys) == f"amorlip: checkpoint is missing block {block!r}"
+
+    @pytest.mark.parametrize("method", ["amorlip", "clip"])
+    def test_checkpoint_without_config_exits_1(self, data_path, tmp_path, capsys, method):
+        # the format before the config was stored: meta/* in place of cfg/*
+        def to_old_format(blocks):
+            for name in [name for name in blocks if name.startswith("cfg/")]:
+                del blocks[name]
+            for name, value in (("seed", 7.0), ("eval_fraction", 0.1), ("method", 1.0)):
+                blocks[f"meta/{name}"] = np.array([[value]])
+
+        assert self.eval_edited(data_path, tmp_path, to_old_format, method) == 1
+        assert stderr_line(capsys) == "amorlip: checkpoint is missing block 'cfg/method'"
+
+    def test_missing_target_net_exits_1(self, data_path, tmp_path, capsys):
+        # one modality's target amortizer gone: not read as a clip checkpoint
+        def strip(blocks):
+            for name in [name for name in blocks if name.startswith("target_b/")]:
+                del blocks[name]
+
+        assert self.eval_edited(data_path, tmp_path, strip) == 1
+        assert stderr_line(capsys) == "amorlip: checkpoint is missing block 'target_b/w0'"
+
+    @pytest.mark.parametrize(
+        "block, value, message",
+        [
+            ("cfg/method", 5.0, "holds 5.0, not an index into ('amorlip', 'clip')"),
+            ("cfg/include_positive", 0.5, "holds 0.5, not an index into (False, True)"),
+            ("cfg/epochs", 2.5, "holds 2.5, not an integer"),
+        ],
+    )
+    def test_undecodable_config_exits_1(self, data_path, tmp_path, capsys, block, value, message):
+        def edit(blocks):
+            blocks[block][0, 0] = value
+
+        assert self.eval_edited(data_path, tmp_path, edit) == 1
+        assert stderr_line(capsys) == f"amorlip: checkpoint block {block!r} {message}"
+
+    def test_inflated_config_size_exits_1_without_allocating(self, data_path, tmp_path, capsys):
+        # the stored sizes are checked against the block shapes first: a
+        # 1e12-wide encoder is never allocated
+        def edit(blocks):
+            blocks["cfg/encoder_hidden"][0, 0] = 1e12
+
+        tracemalloc.start()
+        try:
+            code = self.eval_edited(data_path, tmp_path, edit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert stderr_line(capsys) == (
+            "amorlip: block 'encoder_a/w0': checkpoint shape (10, 16) != expected (10, 1000000000000)"
+        )
+        assert peak < 64 * 2**20
 
     def test_missing_checkpoint_exits_3(self, data_path, tmp_path):
         assert (

@@ -29,14 +29,6 @@ class TestMlp:
         net3 = Mlp([3, 4, 2], "m", seed_key=(5, 2))
         assert not np.array_equal(net1.weights[0].value, net3.weights[0].value)
 
-    def test_from_arrays_round_trip(self):
-        net = Mlp([3, 4, 2], "m", seed_key=(5, 1))
-        rebuilt = Mlp.from_arrays("m", [b.value.copy() for b in net.blocks()])
-        assert rebuilt.dims == net.dims
-        out1, _ = net.forward(np.ones((2, 3)))
-        out2, _ = rebuilt.forward(np.ones((2, 3)))
-        assert np.array_equal(out1, out2)
-
     def test_backward_matches_finite_differences(self):
         rng = seeded_rng(21)
         net = Mlp([4, 5, 3], "m", seed_key=(21, 0))

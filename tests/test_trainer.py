@@ -12,7 +12,7 @@ from amorlip.errors import ConfigError, ContractError, TrainingDivergence
 from amorlip.numerics import AdamW, ParamStore
 from amorlip.trainer import (
     AMORTIZER_REINIT_SALT,
-    SEED_LIMIT,
+    INT_LIMIT,
     MetricsWriter,
     TrainConfig,
     checkpoint_load_blocks,
@@ -61,6 +61,9 @@ class TestTrainConfig:
             TrainConfig(t_online=0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(beta_final=1.5).validate()
+        # the amortizer width ceil(f_d * embed_dim) must be a finite number
+        with pytest.raises(ConfigError, match="f_d must be positive, with a finite width"):
+            TrainConfig(f_d=1e308).validate()
 
     def test_value_types(self):
         # float fields take ints; nothing is coerced
@@ -295,7 +298,7 @@ class TestObservation:
     )
     def test_checkpoint_independent_of_logging(self, tmp_path, method, objective, t_online):
         ds = small_ds(600)  # 33 steps per epoch at batch 16
-        blobs = []
+        stored, payloads = [], []
         for log_every in (None, 10, 1):
             cfg = small_cfg(
                 method=method, objective=objective, t_online=t_online, log_every=log_every or 10
@@ -303,8 +306,12 @@ class TestObservation:
             state = run_training(cfg, ds, MetricsWriter() if log_every else None)
             path = tmp_path / f"{log_every}.ckpt"
             checkpoint_save(state, path)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+            blocks = checkpoint_load_blocks(path)
+            # the stored config records log_every; every other block must agree
+            stored.append(blocks.pop("cfg/log_every")[0, 0])
+            payloads.append({name: value.tobytes() for name, value in blocks.items()})
+        assert stored == [10, 10, 1]
+        assert payloads[0] == payloads[1] == payloads[2]
 
     @pytest.mark.parametrize("with_metrics", [True, False])
     def test_bookkeeping_runs_on_amortization_and_logged_steps(self, monkeypatch, with_metrics):
@@ -351,8 +358,43 @@ class TestCheckpoints:
         path = tmp_path / "c.ckpt"
         checkpoint_save(state, path)
         wrong = dataclasses.replace(cfg, embed_dim=12)
-        with pytest.raises(ContractError, match="encoder_a/w"):
+        with pytest.raises(ConfigError, match="config key 'embed_dim' is 12, the checkpoint stores 8"):
             restore_train_state(wrong, ds, path)
+
+    def test_mismatched_dataset_dims_name_block(self, tmp_path):
+        cfg = small_cfg(epochs=1)
+        path = tmp_path / "c.ckpt"
+        checkpoint_save(init_train_state(cfg, small_ds(200)), path)
+        other = generate_synthetic(200, 4, 10, 7, 0.05, seed=11)
+        with pytest.raises(ContractError, match="block 'encoder_b/w0': 9 input rows"):
+            restore_train_state(cfg, other, path)
+
+    @pytest.mark.parametrize("method", ["amorlip", "clip"])
+    def test_load_eval_model_resaves_byte_identical(self, tmp_path, method):
+        state = run_training(small_cfg(method=method, epochs=1), small_ds(200))
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        checkpoint_save(state, p1)
+        checkpoint_save(load_eval_model(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_config_survives_round_trip(self, tmp_path):
+        # every field but method off its default; f_d = 29/7 gives width
+        # ceil(29/7 * 7) = 30, so f_d could not be recovered from the shapes
+        cfg = TrainConfig(
+            objective="fdiv", generator="js", epochs=3, batch_size=8, embed_dim=7,
+            encoder_hidden=5, encoder_depth=1, f_d=29 / 7, t_lambda=2, t_online=3,
+            t_target=1, alpha=0.9, beta_final=0.5, include_positive=False, lr_encoder=2e-3,
+            lr_amortizer=3e-3, weight_decay=0.0, fdiv_l2log_coef=0.2, rho_main=5.0,
+            rho_anneal=-7.0, anneal_start_fraction=0.5, tau_init=10.0, tau_max=50.0,
+            eval_fraction=0.2, seed=INT_LIMIT - 1, log_every=3,
+        )
+        fields = dataclasses.fields(cfg)
+        assert [f.name for f in fields if getattr(cfg, f.name) == f.default] == ["method"]
+        path = tmp_path / "s.ckpt"
+        checkpoint_save(init_train_state(cfg, small_ds(200)), path)
+        model = load_eval_model(path)
+        assert model.config == cfg
+        assert model.targets["a"].ema.dims == [7, 30, 30, 1]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -399,7 +441,7 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         checkpoint_save(state, path)
         model = load_eval_model(path)
-        assert model.seed == cfg.seed
+        assert model.config.seed == cfg.seed
         assert model.targets is not None
         assert model.temperature.tau == state.temperature.tau
         x = ds.mod_a[:5].astype(np.float64)
@@ -412,11 +454,13 @@ class TestCheckpoints:
     def test_largest_seed_round_trips(self, tmp_path):
         # AMCK1 stores the seed as float64; the config stops where that is exact
         with pytest.raises(ConfigError, match=r"'seed' must be below 2\*\*53"):
-            small_cfg(seed=SEED_LIMIT).validate()
-        cfg = small_cfg(seed=SEED_LIMIT - 1)
+            small_cfg(seed=INT_LIMIT).validate()
+        with pytest.raises(ConfigError, match=r"'log_every' must be below 2\*\*53"):
+            small_cfg(log_every=INT_LIMIT).validate()
+        cfg = small_cfg(seed=INT_LIMIT - 1)
         path = tmp_path / "s.ckpt"
         checkpoint_save(init_train_state(cfg, small_ds(200)), path)
-        assert load_eval_model(path).seed == SEED_LIMIT - 1
+        assert load_eval_model(path).config.seed == INT_LIMIT - 1
 
     def test_clip_checkpoint_has_no_amortizers(self, tmp_path):
         ds = small_ds(200)
