@@ -7,31 +7,33 @@ training divergence, 3 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
-import os
 import sys
 
-from .data import generate_synthetic, load_dataset, save_dataset, split_eval
-from .errors import (
-    AmorlipError,
-    ConfigError,
-    ContractError,
-    DegenerateInputError,
-    DomainError,
-    FormatError,
-    TrainingDivergence,
+from .data import (
+    check_writable,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    split_eval,
+    write_atomic,
 )
+from .errors import AmorlipError, FormatError, TrainingDivergence
 from .evaluation import evaluate_model
 from .trainer import (
+    METHODS,
+    OBJECTIVES,
+    TRAIN_GENERATORS,
     MetricsWriter,
     TrainConfig,
     checkpoint_save,
     load_eval_model,
     run_training,
 )
-from .verify import MAX_FEATURES, run_suite
+from .verify import MAX_FEATURES, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,6 +55,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen-data", help="write a synthetic paired dataset (APDS1)")
+    p.set_defaults(run=_cmd_gen_data)
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--classes", type=int, default=32)
@@ -62,22 +65,25 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("train", help="train on an APDS1 dataset")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--data", required=True, help="APDS1 dataset path")
-    p.add_argument("--method", choices=["amorlip", "clip"])
-    p.add_argument("--objective", choices=["l2log", "fdiv"])
-    p.add_argument("--generator", choices=["kl", "kl_affine", "js"])
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--objective", choices=OBJECTIVES)
+    p.add_argument("--generator", choices=TRAIN_GENERATORS)
     p.add_argument("--config", help="flat JSON config file (flags override it)")
     p.add_argument("--metrics", help="JSONL metrics output path")
     p.add_argument("--checkpoint", help="AMCK1 checkpoint output path")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the held-out split")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--report", required=True, help="JSON report output path")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["gradcheck", "spectral", "schedules", "equivalence"])
+    p.set_defaults(run=_cmd_verify)
+    p.add_argument("suite", choices=SUITES)
     p.add_argument(
         "--features",
         type=int,
@@ -85,6 +91,15 @@ def build_parser() -> _Parser:
         help=f"feature count for the spectral suite, at most {MAX_FEATURES}",
     )
     return parser
+
+
+@contextlib.contextmanager
+def _io(what: str):
+    """Re-raise an OSError with the operation that failed named first."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot {what}: {exc}") from exc
 
 
 def _cmd_gen_data(args) -> int:
@@ -96,11 +111,8 @@ def _cmd_gen_data(args) -> int:
         noise_sigma=args.noise,
         seed=args.seed,
     )
-    try:
+    with _io(f"write {args.out}"):
         save_dataset(ds, args.out)
-    except OSError as exc:
-        print(f"amorlip: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(
         json.dumps(
             {"n": ds.n, "classes": ds.num_classes, "dims": [ds.dim_a, ds.dim_b], "path": args.out}
@@ -110,14 +122,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    cfg = TrainConfig()
     if args.config is not None:
-        try:
+        with _io("read config"):
             cfg = TrainConfig.from_file(args.config)
-        except OSError as exc:
-            print(f"amorlip: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        cfg = TrainConfig()
     overrides = {
         k: v
         for k, v in (
@@ -133,36 +141,20 @@ def _cmd_train(args) -> int:
     if cfg.method == "clip" and (args.objective is not None or args.generator is not None):
         print("warning: --method clip ignores amortization flags", file=sys.stderr)
 
-    try:
+    with _io("read dataset"):
         ds = load_dataset(args.data)
-    except OSError as exc:
-        print(f"amorlip: cannot read dataset: {exc}", file=sys.stderr)
-        return EXIT_IO
-
     if args.checkpoint is not None:
-        # fail before the first step, not after the last: checkpoint_save
-        # writes this file, then renames it to the checkpoint path
-        try:
-            open(args.checkpoint + ".tmp", "wb").close()
-            os.remove(args.checkpoint + ".tmp")
-        except OSError as exc:
-            print(f"amorlip: cannot write checkpoint: {exc}", file=sys.stderr)
-            return EXIT_IO
+        # fail before the first step, not after the last
+        with _io("write checkpoint"):
+            check_writable(args.checkpoint)
     metrics = MetricsWriter(args.metrics)
     try:
         state = run_training(cfg, ds, metrics)
-    except TrainingDivergence as exc:
-        print(f"amorlip: training diverged: {exc}", file=sys.stderr)
-        print(json.dumps(exc.snapshot), file=sys.stderr)
-        return EXIT_VERIFY
     finally:
         metrics.close()
     if args.checkpoint is not None:
-        try:
+        with _io("write checkpoint"):
             checkpoint_save(state, args.checkpoint)
-        except OSError as exc:
-            print(f"amorlip: cannot write checkpoint: {exc}", file=sys.stderr)
-            return EXIT_IO
     summary = {
         "method": cfg.method,
         "epochs": state.epoch,
@@ -175,21 +167,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
+    with _io("read inputs"):
         ds = load_dataset(args.data)
         model = load_eval_model(args.checkpoint)
-    except OSError as exc:
-        print(f"amorlip: cannot read inputs: {exc}", file=sys.stderr)
-        return EXIT_IO
     _, eval_ds = split_eval(ds, model.config.eval_fraction, model.config.seed)
     report = evaluate_model(model, eval_ds)
     payload = json.dumps(report.to_json_dict(), indent=2)
-    try:
-        with open(args.report, "w") as fh:
-            fh.write(payload + "\n")
-    except OSError as exc:
-        print(f"amorlip: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _io("write report"):
+        write_atomic(args.report, (payload + "\n").encode())
     print(payload)
     return EXIT_OK
 
@@ -211,34 +196,22 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the only place a failure becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse help/errors
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # argparse help and usage errors
         return int(exc.code or 0)
-    handlers = {
-        "gen-data": _cmd_gen_data,
-        "train": _cmd_train,
-        "eval": _cmd_eval,
-        "verify": _cmd_verify,
-    }
-    try:
-        return handlers[args.command](args)
-    except FormatError as exc:
+    except TrainingDivergence as exc:
+        print(f"amorlip: training diverged: {exc}", file=sys.stderr)
+        print(json.dumps(exc.snapshot), file=sys.stderr)
+        return EXIT_VERIFY
+    except (FormatError, OSError) as exc:
         print(f"amorlip: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, ContractError, DomainError, DegenerateInputError) as exc:
-        print(f"amorlip: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TrainingDivergence as exc:
-        print(f"amorlip: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except AmorlipError as exc:
         print(f"amorlip: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"amorlip: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

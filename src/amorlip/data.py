@@ -9,6 +9,7 @@ n * dim_b float32 (modality b), n u32 labels. Total size is exactly
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import struct
@@ -112,8 +113,34 @@ def dataset_file_size(n: int, dim_a: int, dim_b: int) -> int:
     return len(MAGIC) + _HEADER.size + 4 * n * (dim_a + dim_b) + 4 * n
 
 
+def write_atomic(path, payload: bytes) -> None:
+    """Write payload to path through a temporary file renamed over it, so
+    that path holds either its old content or all of payload. The temporary
+    file is removed if the write or the rename fails."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def check_writable(path) -> None:
+    """Raise an OSError where write_atomic(path, ...) would fail, at its
+    first step or at the rename onto a directory; leave no file behind."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    open(path + ".tmp", "wb").close()
+    os.remove(path + ".tmp")
+
+
 def save_dataset(ds: PairedDataset, path) -> None:
-    """Write APDS1 atomically (full buffer, temp file, rename)."""
+    """Write APDS1 atomically (full buffer, then write_atomic)."""
     payload = b"".join(
         [
             MAGIC,
@@ -123,11 +150,7 @@ def save_dataset(ds: PairedDataset, path) -> None:
             np.ascontiguousarray(ds.labels, dtype="<u4").tobytes(),
         ]
     )
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, payload)
 
 
 def load_dataset(path) -> PairedDataset:

@@ -37,7 +37,7 @@ from .amortization import (
     loss_l2log,
     loss_l2log_values,
 )
-from .data import PairedDataset, make_batch_plan, split_eval
+from .data import PairedDataset, make_batch_plan, split_eval, write_atomic
 from .encoders import (
     MODALITIES,
     EmbeddingBatch,
@@ -185,10 +185,12 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        with open(os.fspath(path)) as fh:
+        with open(os.fspath(path), encoding="utf-8") as fh:
             try:
                 values = json.load(fh)
-            except json.JSONDecodeError as exc:
+            # ValueError covers bad syntax, bytes that are not UTF-8 and an
+            # over-long integer; RecursionError, nesting too deep to parse
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a flat JSON object")
@@ -591,11 +593,7 @@ def checkpoint_save(state: TrainState, path) -> None:
         parts.append(nb)
         parts.append(struct.pack("<II", raw.shape[0], raw.shape[1]))
         parts.append(raw.tobytes())
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(parts))
-    os.replace(tmp, path)
+    write_atomic(path, b"".join(parts))
 
 
 def checkpoint_load_blocks(path) -> dict[str, Array]:

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -54,21 +55,74 @@ def rewrite_blocks(path, edit):
     path.write_bytes(b"".join(parts))
 
 
+def fresh_checkpoint(edit=None, method="amorlip"):
+    """A writer of an untrained checkpoint for write_data's dims, its blocks changed by edit."""
+
+    def write(path):
+        cfg = TrainConfig(method=method, epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16)
+        ds = generate_synthetic(300, 4, 10, 9, 0.05, seed=11)
+        checkpoint_save(init_train_state(cfg, ds), path)
+        if edit is not None:
+            rewrite_blocks(path, edit)
+
+    return write
+
+
+def patched(write, find: bytes, skip: int, raw: bytes):
+    """A writer of write's file with raw put skip bytes past the first find."""
+
+    def write_patched(path):
+        write(path)
+        blob = bytearray(path.read_bytes())
+        offset = blob.index(find) + skip
+        blob[offset : offset + len(raw)] = raw
+        path.write_bytes(bytes(blob))
+
+    return write_patched
+
+
+def write_data(path):
+    save_dataset(generate_synthetic(300, 4, 10, 9, 0.05, seed=11), path)
+
+
+def drop_blocks(prefix):
+    def edit(blocks):
+        for name in [name for name in blocks if name.startswith(prefix)]:
+            del blocks[name]
+
+    return edit
+
+
+def set_block(name, value):
+    def edit(blocks):
+        blocks[name][0, 0] = value
+
+    return edit
+
+
+def to_old_format(blocks):
+    # the format before the config was stored: meta/* in place of cfg/*
+    drop_blocks("cfg/")(blocks)
+    for name, value in (("seed", 7.0), ("eval_fraction", 0.1), ("method", 1.0)):
+        blocks[f"meta/{name}"] = np.array([[value]])
+
+
+TINY = json.dumps(
+    dict(epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16, seed=11, log_every=5)
+)
+
+
 @pytest.fixture()
 def data_path(tmp_path):
-    ds = generate_synthetic(300, 4, 10, 9, 0.05, seed=11)
     path = tmp_path / "train.apds"
-    save_dataset(ds, path)
+    write_data(path)
     return path
 
 
 @pytest.fixture()
 def tiny_config(tmp_path):
-    cfg = dict(
-        epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16, seed=11, log_every=5
-    )
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(TINY)
     return path
 
 
@@ -173,14 +227,6 @@ class TestTrain:
                 == 0
             )
         assert strip_wall(read_jsonl(m1)) == strip_wall(read_jsonl(m2))
-
-    def test_missing_dataset_exits_3(self, tmp_path):
-        assert main(["train", "--data", str(tmp_path / "nope.apds")]) == 3
-
-    def test_corrupt_dataset_exits_3(self, tmp_path):
-        bad = tmp_path / "bad.apds"
-        bad.write_bytes(b"garbage")
-        assert main(["train", "--data", str(bad)]) == 3
 
     def test_bad_config_json_exits_1(self, data_path, tmp_path):
         bad = tmp_path / "bad.json"
@@ -364,10 +410,8 @@ class TestEval:
 
     def eval_edited(self, data_path, tmp_path, edit, method="amorlip"):
         """Exit code of eval on a fresh checkpoint whose blocks edit changed."""
-        cfg = TrainConfig(method=method, epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16)
         ckpt = tmp_path / "edited.ckpt"
-        checkpoint_save(init_train_state(cfg, generate_synthetic(300, 4, 10, 9, 0.05, seed=11)), ckpt)
-        rewrite_blocks(ckpt, edit)
+        fresh_checkpoint(edit, method)(ckpt)
         return main(["eval", "--data", str(data_path), "--checkpoint", str(ckpt),
                      "--report", str(tmp_path / "r.json")])
 
@@ -379,23 +423,12 @@ class TestEval:
 
     @pytest.mark.parametrize("method", ["amorlip", "clip"])
     def test_checkpoint_without_config_exits_1(self, data_path, tmp_path, capsys, method):
-        # the format before the config was stored: meta/* in place of cfg/*
-        def to_old_format(blocks):
-            for name in [name for name in blocks if name.startswith("cfg/")]:
-                del blocks[name]
-            for name, value in (("seed", 7.0), ("eval_fraction", 0.1), ("method", 1.0)):
-                blocks[f"meta/{name}"] = np.array([[value]])
-
         assert self.eval_edited(data_path, tmp_path, to_old_format, method) == 1
         assert stderr_line(capsys) == "amorlip: checkpoint is missing block 'cfg/method'"
 
     def test_missing_target_net_exits_1(self, data_path, tmp_path, capsys):
         # one modality's target amortizer gone: not read as a clip checkpoint
-        def strip(blocks):
-            for name in [name for name in blocks if name.startswith("target_b/")]:
-                del blocks[name]
-
-        assert self.eval_edited(data_path, tmp_path, strip) == 1
+        assert self.eval_edited(data_path, tmp_path, drop_blocks("target_b/")) == 1
         assert stderr_line(capsys) == "amorlip: checkpoint is missing block 'target_b/w0'"
 
     @pytest.mark.parametrize(
@@ -407,21 +440,15 @@ class TestEval:
         ],
     )
     def test_undecodable_config_exits_1(self, data_path, tmp_path, capsys, block, value, message):
-        def edit(blocks):
-            blocks[block][0, 0] = value
-
-        assert self.eval_edited(data_path, tmp_path, edit) == 1
+        assert self.eval_edited(data_path, tmp_path, set_block(block, value)) == 1
         assert stderr_line(capsys) == f"amorlip: checkpoint block {block!r} {message}"
 
     def test_inflated_config_size_exits_1_without_allocating(self, data_path, tmp_path, capsys):
         # the stored sizes are checked against the block shapes first: a
         # 1e12-wide encoder is never allocated
-        def edit(blocks):
-            blocks["cfg/encoder_hidden"][0, 0] = 1e12
-
         tracemalloc.start()
         try:
-            code = self.eval_edited(data_path, tmp_path, edit)
+            code = self.eval_edited(data_path, tmp_path, set_block("cfg/encoder_hidden", 1e12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,13 +457,6 @@ class TestEval:
             "amorlip: block 'encoder_a/w0': checkpoint shape (10, 16) != expected (10, 1000000000000)"
         )
         assert peak < 64 * 2**20
-
-    def test_missing_checkpoint_exits_3(self, data_path, tmp_path):
-        assert (
-            main(["eval", "--data", str(data_path), "--checkpoint", str(tmp_path / "no.ckpt"),
-                  "--report", str(tmp_path / "r.json")])
-            == 3
-        )
 
 
 class TestVerify:
@@ -478,3 +498,208 @@ class TestVerify:
 
     def test_unknown_suite_exits_1(self):
         assert main(["verify", "nonsense"]) == 1
+
+
+# The CLI failure matrix: every bad input run through `main`, with its exit
+# code and its exact stderr lines. "{tmp}" stands for the row's directory,
+# which holds DATA (300 samples, 4 classes, dims 10 and 9) and an empty
+# directory "dir". A dict stands for a JSON line; ANY matches any value.
+DATA = "{tmp}/train.apds"
+USAGE_TRAIN = [
+    "usage: amorlip train [-h] --data DATA [--method {amorlip,clip}]",
+    "                     [--objective {l2log,fdiv}]",
+    "                     [--generator {kl,kl_affine,js}] [--config CONFIG]",
+    "                     [--metrics METRICS] [--checkpoint CHECKPOINT]",
+    "                     [--seed SEED]",
+]
+USAGE_VERIFY = [
+    "usage: amorlip verify [-h] [--features FEATURES]",
+    "                      {gradcheck,spectral,schedules,equivalence}",
+]
+
+
+def row(name, argv, code, *err, files=None, absent=()):
+    """A matrix row; files maps a name in the row's directory to str, bytes
+    or a writer of the file, and absent names files that must not exist."""
+    return pytest.param(argv.split(), code, list(err), files or {}, absent, id=name)
+
+
+def config_row(name, values, *err):
+    """A train row with a config file of values; exit 1 unless err starts with a code."""
+    code, err = (err[0], err[1:]) if isinstance(err[0], int) else (1, err)
+    content = values if isinstance(values, (str, bytes)) else json.dumps(values)
+    argv = f"train --data {DATA} --config {{tmp}}/c.json"
+    return row(name, argv, code, *err, files={"c.json": content})
+
+
+def eval_row(name, code, err, write):
+    argv = f"eval --data {DATA} --checkpoint {{tmp}}/c.ckpt --report {{tmp}}/r.json"
+    return row(name, argv, code, err, files={"c.ckpt": write}, absent=("r.json",))
+
+
+FAILURES = [
+    # gen-data
+    row("gen-data-missing-dir", "gen-data --out {tmp}/missing/x.apds", 3,
+        "amorlip: cannot write {tmp}/missing/x.apds: "
+        "[Errno 2] No such file or directory: '{tmp}/missing/x.apds.tmp'"),
+    row("gen-data-out-directory", "gen-data --out {tmp}/dir --n 100", 3,
+        "amorlip: cannot write {tmp}/dir: "
+        "[Errno 21] Is a directory: '{tmp}/dir.tmp' -> '{tmp}/dir'"),
+    row("gen-data-one-class", "gen-data --out {tmp}/x.apds --classes 1", 1,
+        "amorlip: need n >= num_classes >= 2, got n=10000, classes=1", absent=("x.apds",)),
+    row("gen-data-nan-noise", "gen-data --out {tmp}/x.apds --n 100 --noise nan", 1,
+        "amorlip: noise_sigma must be finite and >= 0, got nan", absent=("x.apds",)),
+    row("gen-data-huge-noise", "gen-data --out {tmp}/x.apds --n 100 --noise 1e300", 1,
+        "amorlip: noise_sigma 1e+300 gives features not finite in float32", absent=("x.apds",)),
+    row("gen-data-negative-seed", "gen-data --out {tmp}/x.apds --seed -3", 1,
+        "amorlip: seed must be a non-negative integer, got -3", absent=("x.apds",)),
+    # train: flags, files and outputs
+    row("train-no-data-flag", "train", 1,
+        *USAGE_TRAIN, "amorlip train: error: the following arguments are required: --data"),
+    row("train-unknown-flag", f"train --data {DATA} --frobnicate", 1,
+        "usage: amorlip [-h] {gen-data,train,eval,verify} ...",
+        "amorlip: error: unrecognized arguments: --frobnicate"),
+    row("train-missing-dataset", "train --data {tmp}/nope.apds", 3,
+        "amorlip: cannot read dataset: [Errno 2] No such file or directory: '{tmp}/nope.apds'"),
+    row("train-corrupt-dataset", "train --data {tmp}/bad.apds", 3,
+        "amorlip: bad magic, not an APDS1 file (byte offset 0)", files={"bad.apds": b"garbage"}),
+    row("train-non-finite-feature", "train --data {tmp}/nan.apds", 3,
+        "amorlip: non-finite feature value (byte offset 12282)",
+        # modality b, sample 7, feature 2
+        files={"nan.apds": patched(write_data, b"APDS1\n", 6 + 16 + 4 * (300 * 10 + 7 * 9 + 2),
+                                   struct.pack("<f", math.nan))}),
+    row("train-missing-config", f"train --data {DATA} --config {{tmp}}/nope.json", 3,
+        "amorlip: cannot read config: [Errno 2] No such file or directory: '{tmp}/nope.json'"),
+    row("train-checkpoint-missing-dir",
+        f"train --data {DATA} --config {{tmp}}/tiny.json --metrics {{tmp}}/m.jsonl"
+        " --checkpoint {tmp}/missing/c.ckpt", 3,
+        "amorlip: cannot write checkpoint: "
+        "[Errno 2] No such file or directory: '{tmp}/missing/c.ckpt.tmp'",
+        files={"tiny.json": TINY}, absent=("m.jsonl",)),
+    row("train-checkpoint-directory",
+        f"train --data {DATA} --config {{tmp}}/tiny.json --metrics {{tmp}}/m.jsonl"
+        " --checkpoint {tmp}/dir", 3,
+        "amorlip: cannot write checkpoint: [Errno 21] Is a directory: '{tmp}/dir'",
+        files={"tiny.json": TINY}, absent=("m.jsonl",)),
+    row("train-negative-seed-flag", f"train --data {DATA} --seed -1", 1,
+        "amorlip: config key 'seed' must be a non-negative integer, got -1"),
+    # meta/seed is float64 in AMCK1: 2**53 + 1 would read back as 2**53,
+    # and eval would hold out a different split
+    row("train-seed-beyond-2**53", f"train --data {DATA} --seed 9007199254740993", 1,
+        "amorlip: config key 'seed' must be below 2**53, since a checkpoint stores it as a float64,"
+        " got 9007199254740993"),
+    # train: config files
+    config_row("config-not-json", "{not json",
+               "amorlip: config file is not valid JSON: "
+               "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    config_row("config-not-utf8", b"\xff\xfe",
+               "amorlip: config file is not valid JSON: "
+               "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    config_row("config-too-deep", "[" * 100_000,
+               "amorlip: config file is not valid JSON: maximum recursion depth exceeded"
+               " while decoding a JSON array from a unicode string"),
+    *[config_row(f"config-mistyped-{key}", {key: value},
+                 f"amorlip: config key {key!r} must be {kind}, got {value!r}")
+      for key, value, kind in [("epochs", "3", "int"), ("batch_size", 64.5, "int"),
+                               ("seed", True, "int"), ("include_positive", 1, "bool"),
+                               ("method", 0, "str"), ("tau_init", "14.3", "float")]],
+    # NaN, Infinity and -Infinity literals
+    *[config_row(f"config-non-finite-{key}", {key: value},
+                 f"amorlip: config key {key!r} must be finite, got {value}")
+      for key, value in [("lr_encoder", math.nan), ("tau_max", math.inf), ("f_d", -math.inf)]],
+    config_row("config-negative-seed", {"seed": -1},
+               "amorlip: config key 'seed' must be a non-negative integer, got -1"),
+    # tau^2 underflows or overflows
+    *[config_row(f"config-{key}-{value}", {key: value},
+                 f"amorlip: config key {key!r} must have a finite, non-zero square"
+                 f" and inverse square, got {value}")
+      for key in ("tau_init", "tau_max") for value in (1e-300, 1e200)],
+    # 270 training samples at batch 16: 16 steps per epoch
+    *[config_row(f"config-{key}-beyond-epoch", {"batch_size": 16, "epochs": 1, key: 17},
+                 f"amorlip: config key {key!r} must be at most the 16 steps per epoch, got 17")
+      for key in ("t_online", "t_target")],
+    # an accepted but huge temperature: the squared encoder gradient overflows
+    config_row("train-optimizer-overflow",
+               {"tau_init": 1000.0, "tau_max": 1000.0, "batch_size": 16, "epochs": 1}, 2,
+               "amorlip: training diverged: "
+               "optimizer step 13 is not finite (overflow encountered in multiply)",
+               {"step": 13, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": ANY,
+                "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY}),
+    # eval
+    row("eval-missing-checkpoint",
+        f"eval --data {DATA} --checkpoint {{tmp}}/no.ckpt --report {{tmp}}/r.json", 3,
+        "amorlip: cannot read inputs: [Errno 2] No such file or directory: '{tmp}/no.ckpt'"),
+    row("eval-report-directory",
+        f"eval --data {DATA} --checkpoint {{tmp}}/c.ckpt --report {{tmp}}/dir", 3,
+        "amorlip: cannot write report: [Errno 21] Is a directory: '{tmp}/dir.tmp' -> '{tmp}/dir'",
+        files={"c.ckpt": fresh_checkpoint()}),
+    # the first block's name, the block after encoder_a/w0, and tau's payload
+    eval_row("eval-block-name-not-utf8", 3,
+             "amorlip: block name is not valid UTF-8 (byte offset 14)",
+             patched(fresh_checkpoint(), b"encoder_a/w0", 0, b"\xff")),
+    eval_row("eval-duplicate-block-name", 3,
+             "amorlip: duplicate block name 'encoder_a/w0' (byte offset 1318)",
+             patched(fresh_checkpoint(), b"encoder_a/b0", 0, b"encoder_a/w0")),
+    eval_row("eval-non-finite-payload", 3,
+             "amorlip: non-finite value in block 'temperature/log_tau' (byte offset 9545)",
+             patched(fresh_checkpoint(), b"temperature/log_tau", len(b"temperature/log_tau") + 8,
+                     struct.pack("<d", math.nan))),
+    # eval holds out the split and clamps tau from these blocks: no defaults
+    *[eval_row(f"eval-missing-{block}", 1, f"amorlip: checkpoint is missing block {block!r}",
+               fresh_checkpoint(lambda blocks, block=block: blocks.pop(block)))
+      for block in ("cfg/seed", "cfg/eval_fraction", "meta/tau_max")],
+    *[eval_row(f"eval-old-format-{method}", 1, "amorlip: checkpoint is missing block 'cfg/method'",
+               fresh_checkpoint(to_old_format, method))
+      for method in ("amorlip", "clip")],
+    # one modality's target amortizer gone: not read as a clip checkpoint
+    eval_row("eval-missing-target-net", 1, "amorlip: checkpoint is missing block 'target_b/w0'",
+             fresh_checkpoint(drop_blocks("target_b/"))),
+    *[eval_row(f"eval-undecodable-{block}", 1, f"amorlip: checkpoint block {block!r} {message}",
+               fresh_checkpoint(set_block(block, value)))
+      for block, value, message in [
+          ("cfg/method", 5.0, "holds 5.0, not an index into ('amorlip', 'clip')"),
+          ("cfg/include_positive", 0.5, "holds 0.5, not an index into (False, True)"),
+          ("cfg/epochs", 2.5, "holds 2.5, not an integer"),
+      ]],
+    eval_row("eval-inflated-config-size", 1,
+             "amorlip: block 'encoder_a/w0': "
+             "checkpoint shape (10, 16) != expected (10, 1000000000000)",
+             fresh_checkpoint(set_block("cfg/encoder_hidden", 1e12))),
+    # verify: a failing check exits 2 with its JSON on stdout and nothing on stderr
+    row("verify-spectral-10-features", "verify spectral --features 10", 2),
+    row("verify-spectral-1-feature", "verify spectral --features 1", 2),
+    *[row(f"verify-spectral-{m}-features", f"verify spectral --features {m}", 1,
+          f"amorlip: need m_features >= 1 and dim >= 1, got {m}, 2") for m in (0, -5)],
+    row("verify-spectral-feature-bound", f"verify spectral --features {MAX_FEATURES + 1}", 1,
+        f"amorlip: spectral suite takes at most {MAX_FEATURES} features, got {MAX_FEATURES + 1}"),
+    row("verify-unknown-suite", "verify nonsense", 1, *USAGE_VERIFY,
+        "amorlip verify: error: argument suite: invalid choice: 'nonsense' "
+        "(choose from 'gradcheck', 'spectral', 'schedules', 'equivalence')"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, err, files, absent", FAILURES)
+def test_failure_matrix(tmp_path, monkeypatch, capsys, argv, code, err, files, absent):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps its usage to
+    write_data(tmp_path / "train.apds")
+    (tmp_path / "dir").mkdir()
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content)
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            content(path)
+
+    def fill(text):
+        return text.replace("{tmp}", str(tmp_path))
+
+    assert main([fill(arg) for arg in argv]) == code
+    want = [line if isinstance(line, dict) else fill(line) for line in err]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(want), lines
+    assert [json.loads(got) if isinstance(w, dict) else got for got, w in zip(lines, want)] == want
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not [name for name in absent if (tmp_path / name).exists()]
