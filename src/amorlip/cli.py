@@ -147,7 +147,8 @@ def _cmd_train(args) -> int:
         # fail before the first step, not after the last
         with _io("write checkpoint"):
             check_writable(args.checkpoint)
-    metrics = MetricsWriter(args.metrics)
+    with _io("write metrics"):
+        metrics = MetricsWriter(args.metrics)
     try:
         state = run_training(cfg, ds, metrics)
     finally:

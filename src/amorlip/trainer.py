@@ -78,6 +78,16 @@ INT_LIMIT = 2**53
 COUNTERS = ("epoch", "step_in_epoch", "global_step", "gather_count")
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts to an int
+        raise ConfigError(
+            f"config file holds an integer of {len(text.lstrip('-'))} digits,"
+            " more than any config key takes"
+        ) from None
+
+
 @dataclass
 class TrainConfig:
     """Every knob of the training loop. The JSON config file is a flat
@@ -114,10 +124,19 @@ class TrainConfig:
     def validate(self) -> None:
         for field in dataclasses.fields(self):
             # every comparison with NaN is false, so the range checks below
-            # would pass it; an infinity would pass the one-sided ones
+            # would pass it; an infinity would pass the one-sided ones. A
+            # float field takes ints, which may not fit a float64 at all.
             value = getattr(self, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"config key {field.name!r} must be finite, got {value!r}")
+            if isinstance(value, float) or type(field.default) is float:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:
+                    raise ConfigError(
+                        f"config key {field.name!r} must fit a float64 (magnitude at most"
+                        " 1.8e308), got a larger integer"
+                    ) from None
+                if not finite:
+                    raise ConfigError(f"config key {field.name!r} must be finite, got {value!r}")
             if type(field.default) is int and value >= INT_LIMIT:
                 raise ConfigError(
                     f"config key {field.name!r} must be below 2**53, since a checkpoint stores"
@@ -134,7 +153,7 @@ class TrainConfig:
             raise ConfigError("alpha and beta_final must lie in [0, 1]")
         if self.embed_dim < 1 or self.encoder_hidden < 1 or self.encoder_depth < 0:
             raise ConfigError("invalid encoder sizes")
-        if self.f_d <= 0 or not math.isfinite(self.f_d * self.embed_dim):
+        if self.f_d <= 0 or not math.isfinite(float(self.f_d) * self.embed_dim):
             raise ConfigError(
                 f"f_d must be positive, with a finite width f_d * embed_dim, got {self.f_d}"
             )
@@ -149,7 +168,7 @@ class TrainConfig:
         for key in ("tau_init", "tau_max"):
             # the rescaled loss divides by tau and its tau gradient by tau^2,
             # and Temperature has no lower clamp to keep either finite
-            tau = getattr(self, key)
+            tau = float(getattr(self, key))
             square = tau * tau
             if not (0.0 < square < math.inf and 0.0 < 1.0 / square < math.inf):
                 raise ConfigError(
@@ -187,9 +206,9 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         with open(os.fspath(path), encoding="utf-8") as fh:
             try:
-                values = json.load(fh)
-            # ValueError covers bad syntax, bytes that are not UTF-8 and an
-            # over-long integer; RecursionError, nesting too deep to parse
+                values = json.load(fh, parse_int=_parse_int)
+            # ValueError covers bad syntax and bytes that are not UTF-8;
+            # RecursionError, nesting too deep to parse
             except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):

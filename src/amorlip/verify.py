@@ -10,7 +10,8 @@ passes only if every check passes. All randomness is seeded.
 from __future__ import annotations
 
 import math
-import threading
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -80,55 +81,6 @@ def _unit_batch(rng: np.random.Generator, n: int, d: int, modality: str) -> Embe
 # gradcheck suite
 
 
-def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
-    """FD check over both embedding batches and log(tau) for a pair loss."""
-    rng = seeded_rng(9100, seed)
-    n = int(rng.integers(2, 9))
-    d = int(rng.integers(2, 17))
-    emb_a = _unit_batch(rng, n, d, "a")
-    emb_b = _unit_batch(rng, n, d, "b")
-    tau = float(rng.uniform(0.5, 4.0))
-    log_lam_a = rng.standard_normal(n)
-    log_lam_b = rng.standard_normal(n)
-    rho = float(rng.uniform(-8.0, 8.0))
-
-    def split(flat: Array):
-        a = flat[: n * d].reshape(n, d)
-        b = flat[n * d : 2 * n * d].reshape(n, d)
-        return a, b, float(flat[-1])
-
-    def raw_loss(a: Array, b: Array, t: float):
-        ea = EmbeddingBatch(data=a, modality="a")
-        eb = EmbeddingBatch(data=b, modality="b")
-        if loss_kind == "nce":
-            return nce_loss(ea, eb, t)
-        if loss_kind == "mle":
-            return amortized_mle_loss(ea, eb, t, log_lam_a, log_lam_b)
-        raise ValueError(loss_kind)
-
-    if loss_kind == "rescale":
-
-        def f(flat: Array) -> float:
-            a, b, lt = split(flat)
-            t = math.exp(lt)
-            raw = nce_loss(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"), t)
-            return raw.value / tau + rho / t  # divisor frozen at the base tau
-
-        out = temperature_rescale(nce_loss(emb_a, emb_b, tau), tau, rho)
-    else:
-
-        def f(flat: Array) -> float:
-            a, b, lt = split(flat)
-            return raw_loss(a, b, math.exp(lt)).value
-
-        out = raw_loss(emb_a.data, emb_b.data, tau)
-
-    x0 = np.concatenate([emb_a.data.ravel(), emb_b.data.ravel(), [math.log(tau)]])
-    numeric = finite_difference_gradient(f, x0, FD_STEP)
-    analytic = np.concatenate([out.grad_a.ravel(), out.grad_b.ravel(), [out.tau_grad * tau]])
-    return gradcheck_error(analytic, numeric)
-
-
 def _gradcheck_params(
     blocks: list[ParamBlock], value: Callable[[], float], backward: Callable[[], None]
 ) -> float:
@@ -144,6 +96,43 @@ def _gradcheck_params(
     store.zero_grad()
     backward()
     return gradcheck_error(store.grad, finite_difference_gradient(f, x0, FD_STEP))
+
+
+def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
+    """FD check over both embedding batches and log(tau) for a pair loss."""
+    rng = seeded_rng(9100, seed)
+    n = int(rng.integers(2, 9))
+    d = int(rng.integers(2, 17))
+    a = ParamBlock("a", _unit_batch(rng, n, d, "a").data)
+    b = ParamBlock("b", _unit_batch(rng, n, d, "b").data)
+    tau = float(rng.uniform(0.5, 4.0))
+    log_tau = ParamBlock("log_tau", [[math.log(tau)]])
+    log_lam_a = rng.standard_normal(n)
+    log_lam_b = rng.standard_normal(n)
+    rho = float(rng.uniform(-8.0, 8.0))
+
+    def raw_loss(t: float):
+        ea, eb = EmbeddingBatch(a.value, "a"), EmbeddingBatch(b.value, "b")
+        if loss_kind == "mle":
+            return amortized_mle_loss(ea, eb, t, log_lam_a, log_lam_b)
+        return nce_loss(ea, eb, t)
+
+    def value() -> float:
+        t = math.exp(float(log_tau.value[0, 0]))
+        if loss_kind == "rescale":
+            return raw_loss(t).value / tau + rho / t  # divisor frozen at the base tau
+        return raw_loss(t).value
+
+    def backward() -> None:
+        # at the drawn tau: exp(log(tau)) can differ from it in the last bit
+        out = raw_loss(tau)
+        if loss_kind == "rescale":
+            out = temperature_rescale(out, tau, rho)
+        a.grad += out.grad_a
+        b.grad += out.grad_b
+        log_tau.grad += out.tau_grad * tau
+
+    return _gradcheck_params([a, b, log_tau], value, backward)
 
 
 def _gradcheck_amortizer_loss(objective: str, seed: int) -> float:
@@ -252,48 +241,36 @@ def _coverage_flags(
     """For each (tau, seed) trial, in order, whether each similarity's
     kernel estimate lies within 3 standard errors of exp(tau * s).
 
-    The calling thread and one helper take trial indices from a shared
-    counter; numpy's normal draw and cos release the GIL, so the two run
-    on two cores. Each thread owns one slot, a (2, M) frequency buffer and
-    an M-vector projection, allocated here before the helper starts, so
-    no feature-length memory lands in a second malloc arena. A trial's
-    figures do not depend on the thread that runs it. An exception in
-    either thread stops both and is raised here after the join."""
+    A pool of two worker threads runs the trials; numpy's normal draw and
+    cos release the GIL, so the two run on two cores. Each trial borrows
+    one of two slots, a (2, M) frequency buffer and an M-vector projection,
+    allocated here by the calling thread, so no feature-length memory lands
+    in a second malloc arena. A trial's figures do not depend on the slot
+    or thread that runs it. The first error is raised here, and the trials
+    not yet started are cancelled."""
     check_sizes(m_features, 2)
-    slots = [(np.empty((2, m_features)), np.empty(m_features)) for _ in range(2)]
-    flags: list = [None] * len(jobs)
-    lock = threading.Lock()
-    counter = iter(range(len(jobs)))
-    errors: list[BaseException] = []
+    slots = queue.SimpleQueue()
+    for _ in range(2):
+        slots.put((np.empty((2, m_features)), np.empty(m_features)))
 
-    def run(slot: tuple[Array, Array]) -> None:
-        omegas, work = slot
+    def trial(job: tuple[float, int]) -> list[bool]:
+        tau, seed = job
+        omegas, work = slot = slots.get()
         try:
-            while not errors:
-                with lock:
-                    k = next(counter, None)
-                if k is None:
-                    return
-                tau, seed = jobs[k]
-                fmap = sample_features(m_features, 2, tau, seed, out=omegas)
-                trial = []
-                for s in sims:
-                    u1, u2 = _pair_with_similarity(s)
-                    est = kernel_estimate(u1, u2, fmap, work=work)
-                    trial.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
-                flags[k] = trial
-        except BaseException as exc:  # raised again by the calling thread
-            errors.append(exc)
+            fmap = sample_features(m_features, 2, tau, seed, out=omegas)
+            flags = []
+            for s in sims:
+                est = kernel_estimate(*_pair_with_similarity(s), fmap, work=work)
+                flags.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
+            return flags
+        finally:
+            slots.put(slot)
 
-    helper = threading.Thread(target=run, args=(slots[1],), name="spectral-coverage")
-    helper.start()
+    pool = ThreadPoolExecutor(2, thread_name_prefix="spectral-coverage")
     try:
-        run(slots[0])
+        return list(pool.map(trial, jobs))
     finally:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return flags
+        pool.shutdown(cancel_futures=True)
 
 
 def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:

@@ -64,6 +64,11 @@ class TestTrainConfig:
         # the amortizer width ceil(f_d * embed_dim) must be a finite number
         with pytest.raises(ConfigError, match="f_d must be positive, with a finite width"):
             TrainConfig(f_d=1e308).validate()
+        # a float field takes ints, but only ones a float64 can hold
+        for field in dataclasses.fields(TrainConfig):
+            if type(field.default) is float:
+                with pytest.raises(ConfigError, match=f"'{field.name}' must fit a float64"):
+                    TrainConfig(**{field.name: -(10**400)}).validate()
 
     def test_value_types(self):
         # float fields take ints; nothing is coerced

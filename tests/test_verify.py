@@ -7,7 +7,7 @@ import pytest
 
 import amorlip.verify as verify_mod
 from amorlip.errors import ContractError
-from amorlip.verify import suite_spectral
+from amorlip.verify import suite_gradcheck, suite_spectral
 
 # check values of the single-threaded coverage loop this one replaced, as float hex
 PINNED = {
@@ -32,6 +32,21 @@ PINNED = {
     },
 }
 
+# gradcheck check values of the concatenated-vector pair checks this one
+# replaced, as float hex
+GRADCHECK_PINNED = {
+    "gradcheck/nce_loss": "0x1.86d22f5cc0058p-29",
+    "gradcheck/amortized_mle_loss": "0x1.78074d2809a6ep-30",
+    "gradcheck/temperature_rescale": "0x1.96cbc7e95cc10p-30",
+    "gradcheck/loss_l2log": "0x1.152778051e118p-32",
+    "gradcheck/encoder_backward": "0x1.c0e5c78c073ebp-32",
+    "gradcheck/amortize_forward": "0x1.b85ac893268c7p-33",
+    "gradcheck/loss_fdiv_kl": "0x1.708a703ac5879p-30",
+    "gradcheck/loss_fdiv_kl_affine": "0x1.de7d661bf4ce3p-32",
+    "gradcheck/loss_fdiv_js": "0x1.e58c991822891p-29",
+    "gradcheck/loss_fdiv_l2log": "0x1.152778051e118p-32",
+}
+
 SIMS = (-0.5, 0.0, 0.5, 1.0)
 
 
@@ -39,6 +54,11 @@ SIMS = (-0.5, 0.0, 0.5, 1.0)
 def test_spectral_values_pinned(m, trials):
     checks = suite_spectral(m_features=m, trials=trials)
     assert {c["check"]: float(c["value"]).hex() for c in checks} == PINNED[m, trials]
+
+
+def test_gradcheck_values_pinned():
+    checks = suite_gradcheck()
+    assert {c["check"]: float(c["value"]).hex() for c in checks} == GRADCHECK_PINNED
 
 
 def test_coverage_flags_match_sequential_trials():
@@ -80,6 +100,26 @@ def test_helper_thread_error_reaches_caller(monkeypatch):
         suite_spectral(m_features=64, trials=10)
     assert helper_failed.is_set()
     assert set(threading.enumerate()) == before
+
+
+def test_first_trial_error_cancels_the_rest(monkeypatch):
+    # full-size trials take milliseconds each, so the pool cancels most of
+    # the queue before the other worker gets through it
+    jobs = [(1.0, 90_000 + k) for k in range(60)]
+    real = verify_mod.sample_features
+    started = []
+
+    def sample_features(m, d, tau, seed, out=None):
+        started.append(seed)
+        if seed == jobs[0][1]:
+            raise ContractError("planted in the first trial")
+        return real(m, d, tau, seed, out=out)
+
+    monkeypatch.setattr(verify_mod, "sample_features", sample_features)
+    with pytest.raises(ContractError, match="planted in the first trial"):
+        verify_mod._coverage_flags(jobs, SIMS, 200_000)
+    assert jobs[0][1] in started
+    assert len(started) < len(jobs) // 2
 
 
 def test_no_thread_left_after_suite():
