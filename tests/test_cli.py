@@ -228,6 +228,11 @@ class TestTrain:
             )
         assert strip_wall(read_jsonl(m1)) == strip_wall(read_jsonl(m2))
 
+    def test_bad_config_json_exits_1(self, data_path, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["train", "--data", str(data_path), "--config", str(bad)]) == 1
+
     @pytest.mark.parametrize(
         "key, value",
         [("epochs", "3"), ("batch_size", 64.5), ("seed", True), ("include_positive", 1),
@@ -238,6 +243,19 @@ class TestTrain:
         cfg.write_text(json.dumps({key: value}))
         assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
         assert f"config key {key!r} must be" in stderr_line(capsys)
+
+    @pytest.mark.parametrize(
+        "key, value", [("lr_encoder", math.nan), ("tau_max", math.inf), ("f_d", -math.inf)]
+    )
+    def test_non_finite_config_value_exits_1(self, data_path, tmp_path, capsys, key, value):
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text(json.dumps({key: value}))  # NaN, Infinity, -Infinity literals
+        assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
+        assert f"config key {key!r} must be finite" in stderr_line(capsys)
+
+    def test_negative_seed_flag_exits_1(self, data_path, capsys):
+        assert main(["train", "--data", str(data_path), "--seed", "-1"]) == 1
+        assert "config key 'seed' must be a non-negative integer, got -1" in stderr_line(capsys)
 
     def test_negative_seed_in_config_exits_1(self, data_path, tmp_path, capsys):
         cfg = tmp_path / "seed.json"
