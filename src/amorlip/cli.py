@@ -213,6 +213,9 @@ def main(argv=None) -> int:
     except AmorlipError as exc:
         print(f"amorlip: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a config whose networks do not fit in memory
+        print(f"amorlip: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

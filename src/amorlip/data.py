@@ -1,5 +1,5 @@
 """Synthetic paired-modality data, the APDS1 on-disk format, and
-deterministic batch iteration.
+deterministic per-epoch batch plans.
 
 APDS1 layout (little-endian): magic b"APDS1\\n", u32 fields n, dim_a,
 dim_b, num_classes, then n * dim_a float32 (modality a, row-major),
@@ -14,7 +14,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -196,29 +195,15 @@ def load_dataset(path) -> PairedDataset:
     )
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """A full-epoch permutation sliced into fixed-size batches (remainder dropped)."""
-
-    batch_size: int
-    permutation: Array
-
-    @property
-    def n_batches(self) -> int:
-        return self.permutation.shape[0] // self.batch_size
-
-    def batches(self) -> Iterator[Array]:
-        for k in range(self.n_batches):
-            yield self.permutation[k * self.batch_size : (k + 1) * self.batch_size]
-
-
-def make_batch_plan(n: int, batch_size: int, seed: int, epoch: int) -> BatchPlan:
+def make_batch_plan(n: int, batch_size: int, seed: int, epoch: int) -> Array:
+    """The epoch's seeded permutation of range(n) as an (n // batch_size,
+    batch_size) array of batch indices; the final incomplete batch is dropped."""
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     if batch_size > n:
         raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
     perm = seeded_rng(seed, BATCH_SEED_SALT, epoch).permutation(n)
-    return BatchPlan(batch_size=batch_size, permutation=perm)
+    return perm[: n - n % batch_size].reshape(-1, batch_size)
 
 
 def split_eval(ds: PairedDataset, eval_fraction: float, seed: int):

@@ -157,6 +157,17 @@ class TrainConfig:
             raise ConfigError(
                 f"f_d must be positive, with a finite width f_d * embed_dim, got {self.f_d}"
             )
+        widths = {
+            "embed_dim": self.embed_dim,
+            "encoder_hidden": self.encoder_hidden,
+            "f_d": amortizer_hidden_dim(self.embed_dim, self.f_d),
+        }
+        for key, width in widths.items():
+            if width >= 2**32:  # a checkpoint packs each block's shape as two u32
+                raise ConfigError(
+                    f"config key {key!r} gives a layer width of {width:.4g}, but a checkpoint"
+                    " stores widths below 2**32"
+                )
         if self.lr_encoder <= 0 or self.lr_amortizer <= 0:
             raise ConfigError("learning rates must be positive")
         if self.weight_decay < 0 or self.fdiv_l2log_coef < 0:
@@ -390,12 +401,16 @@ def _amortization_stage(
     return total
 
 
-def _should_log(cfg: TrainConfig, global_step: int, total_steps: int) -> bool:
-    return (
-        global_step == 1
-        or global_step == total_steps
-        or global_step % cfg.log_every == 0
-    )
+def _steps(n: int, cfg: TrainConfig, start: int, stop: int):
+    """Yield (step, epoch, batch, idx) for the global steps start..stop over
+    the seeded batch plans of n samples. Step s is batch (s - 1) % K + 1 of
+    epoch (s - 1) // K + 1, with K = n // batch_size; both count from 1."""
+    per_epoch = max(1, n // cfg.batch_size)  # n below batch_size: make_batch_plan raises
+    for step in range(start, stop + 1):
+        epoch, k = divmod(step - 1, per_epoch)
+        if k == 0 or step == start:
+            plan = make_batch_plan(n, cfg.batch_size, cfg.seed, epoch + 1)
+        yield step, epoch + 1, k + 1, plan[k]
 
 
 def run_training(
@@ -405,20 +420,25 @@ def run_training(
     start_state: TrainState | None = None,
     max_steps: int | None = None,
 ) -> TrainState:
-    """Train cfg.method over the held-in split of ds.
+    """Train cfg.method over the held-in split of ds, walking the global
+    steps after start_state's up to max_steps or the last step.
+
+    Step s is batch (s - 1) % K + 1 of epoch (s - 1) // K + 1, for K steps
+    per epoch, and beta_t and rho follow that epoch: the global step is the
+    whole position, so a run stopped by max_steps stops before the next
+    epoch's rotation and run_training(start_state=...) continues it exactly.
 
     Both methods share every step's scaffolding: the seeded batch plan per
-    epoch, resumption from start_state's counters, max_steps, the encoder
-    and temperature update on the temperature-rescaled stage-II loss, the
-    divergence checks and the metrics record. They differ in the stage-II
-    loss only:
+    epoch, the encoder and temperature update on the temperature-rescaled
+    stage-II loss, the divergence checks and the metrics record. They differ
+    in the stage-II loss only:
 
     - "clip": the in-batch NCE loss, with a gather on every step.
-    - "amorlip": per epoch the previous target network is frozen and the
-      online and target amortizers are re-initialized; every t_online
-      batches the amortization stage runs (one gather); every t_target
-      batches the target EMA advances; the stage-II loss is the amortized
-      maximum-likelihood loss against the target amortizers.
+    - "amorlip": on each epoch's first step the previous target network is
+      frozen and the online and target amortizers are re-initialized; every
+      t_online batches the amortization stage runs (one gather); every
+      t_target batches the target EMA advances; the stage-II loss is the
+      amortized maximum-likelihood loss against the target amortizers.
 
     The all-pairs bookkeeping of the amortized method runs only where it is
     used: the exact partitions in both directions on amortization steps and
@@ -429,8 +449,9 @@ def run_training(
 
     A non-finite loss, or a DomainError anywhere in a step (an overflowing
     optimizer step, divergence weight or amortizer output), ends the run
-    with a TrainingDivergence carrying the step's snapshot. For "amorlip",
-    t_online and t_target above the steps per epoch are a ConfigError.
+    with a TrainingDivergence carrying the step's snapshot; these checks,
+    not numpy warnings, report non-finite values. For "amorlip", t_online
+    and t_target above the steps per epoch are a ConfigError.
     """
     cfg.validate()
     amortized = cfg.method == "amorlip"
@@ -447,39 +468,33 @@ def run_training(
             )
     state = start_state if start_state is not None else init_train_state(cfg, ds)
     total_steps = steps_per_epoch * cfg.epochs
+    stop = total_steps if max_steps is None else min(max_steps, total_steps)
     sched = cfg.rho_schedule()
     wall_start = time.perf_counter()
 
     def diverged(message: str) -> TrainingDivergence:
         # reads the failing step's locals; a step that did not log the gap
-        # computes it here, so the snapshot always carries it
+        # computes it here, or null where it cannot (tau of 0, say)
         if amortized and snapshot.get("median_abs_log_z_err") is None:
-            exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
-            lam = log_lam or _target_log_lam(state, emb)
-            snapshot["median_abs_log_z_err"] = partition_gap_stats(lam, exact)[0]
+            try:
+                exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
+                lam = log_lam or _target_log_lam(state, emb)
+                snapshot["median_abs_log_z_err"] = partition_gap_stats(lam, exact)[0]
+            except DomainError:
+                snapshot["median_abs_log_z_err"] = None
         return TrainingDivergence(message, snapshot)
 
-    for t in range(max(state.epoch, 1), cfg.epochs + 1):
-        resuming_mid = t == state.epoch and state.step_in_epoch > 0
-        if not resuming_mid:
-            if amortized:
-                _rotate_and_reinit(state, t)
-            state.epoch = t
-            state.step_in_epoch = 0
-        skip = state.step_in_epoch
-        beta_t = beta_schedule(t, cfg.epochs, cfg.beta_final) if amortized else None
-        rho = rho_at(t, cfg.epochs, sched)
-        plan = make_batch_plan(train_ds.n, cfg.batch_size, cfg.seed, t)
-        for k, idx in enumerate(plan.batches(), start=1):
-            if k <= skip:
-                continue
-            if max_steps is not None and state.global_step >= max_steps:
-                return state
-            state.global_step += 1
+    with np.errstate(all="ignore"):
+        for step, epoch, k, idx in _steps(train_ds.n, cfg, state.global_step + 1, stop):
+            if amortized and k == 1:
+                _rotate_and_reinit(state, epoch)
+            state.global_step, state.epoch, state.step_in_epoch = step, epoch, k
+            beta_t = beta_schedule(epoch, cfg.epochs, cfg.beta_final) if amortized else None
+            rho = rho_at(epoch, cfg.epochs, sched)
             tau = state.temperature.tau
             emb, caches = _embed(state, train_ds, idx)
-            logged = metrics is not None and _should_log(cfg, state.global_step, total_steps)
-            snapshot = {"step": state.global_step, "epoch": t, "tau": tau}
+            logged = metrics is not None and (step in (1, total_steps) or step % cfg.log_every == 0)
+            snapshot = {"step": step, "epoch": epoch, "tau": tau}
             amor_loss = median_err = log_z = log_lam = None
             try:
                 if amortized:
@@ -503,7 +518,7 @@ def run_training(
                 snapshot.update(stage2_loss_raw=raw.value, stage2_loss_rescaled=rescaled.value)
                 for value, what in ((raw.value, "stage-II loss"), (amor_loss, "amortization loss")):
                     if value is not None and not math.isfinite(value):
-                        raise diverged(f"non-finite {what} at step {state.global_step}")
+                        raise diverged(f"non-finite {what} at step {step}")
 
                 state.opt_encoder.store.zero_grad()
                 encoder_backward(caches["a"], rescaled.grad_a)
@@ -514,15 +529,14 @@ def run_training(
                 # a numerical failure anywhere in the step, an optimizer overflow included
                 raise diverged(str(exc)) from exc
             state.temperature.clamp()
-            state.step_in_epoch = k
 
             if logged:
                 # tau is the value the step's losses used (pre-update), so every
                 # field except wall_ms is a pure function of the step
                 metrics.emit(
                     {
-                        "step": state.global_step,
-                        "epoch": state.epoch,
+                        "step": step,
+                        "epoch": epoch,
                         "stage2_loss_raw": raw.value,
                         "stage2_loss_rescaled": rescaled.value,
                         "amor_loss": amor_loss,
@@ -778,25 +792,18 @@ def amortizer_fidelity_experiment(
     opt = AdamW(_store(online), lr=amortizer_lr)
 
     total_steps = invocations * cfg.t_lambda
-    done = 0
-    epoch = 0
     loss = math.nan
-    while done < total_steps:
-        epoch += 1
-        for idx in make_batch_plan(eval_ds.n, cfg.batch_size, cfg.seed, epoch).batches():
-            if done >= total_steps:
-                break
-            if done == 0:
-                for m in MODALITIES:
-                    online[m].biases[-1].value[0, 0] = float(np.mean(targets[m][idx]))
-            opt.lr = amortizer_lr * 0.5 * (1.0 + math.cos(math.pi * done / total_steps))
-            loss = 0.0
-            opt.store.zero_grad()
+    for step, _, _, idx in _steps(eval_ds.n, cfg, 1, total_steps):
+        if step == 1:
             for m in MODALITIES:
-                view = EmbeddingBatch(emb[m].data[idx], m)
-                loss += loss_l2log(online[m], view, targets[m][idx])
-            opt.step()
-            done += 1
+                online[m].biases[-1].value[0, 0] = float(np.mean(targets[m][idx]))
+        opt.lr = amortizer_lr * 0.5 * (1.0 + math.cos(math.pi * (step - 1) / total_steps))
+        loss = 0.0
+        opt.store.zero_grad()
+        for m in MODALITIES:
+            view = EmbeddingBatch(emb[m].data[idx], m)
+            loss += loss_l2log(online[m], view, targets[m][idx])
+        opt.step()
 
     median, mean = partition_gap_stats(
         {m: amortize_forward(online[m], emb[m])[0] for m in MODALITIES}, targets
@@ -805,6 +812,6 @@ def amortizer_fidelity_experiment(
         "median_abs_log_z_err": median,
         "mean_abs_log_z_err": mean,
         "tau": tau,
-        "optimizer_steps": done,
+        "optimizer_steps": total_steps,
         "final_l2log_loss": loss,
     }

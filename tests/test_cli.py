@@ -445,16 +445,16 @@ class TestEval:
 
     def test_inflated_config_size_exits_1_without_allocating(self, data_path, tmp_path, capsys):
         # the stored sizes are checked against the block shapes first: a
-        # 1e12-wide encoder is never allocated
+        # 1e9-wide encoder (a width a checkpoint can store) is never allocated
         tracemalloc.start()
         try:
-            code = self.eval_edited(data_path, tmp_path, set_block("cfg/encoder_hidden", 1e12))
+            code = self.eval_edited(data_path, tmp_path, set_block("cfg/encoder_hidden", 1e9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 1
         assert stderr_line(capsys) == (
-            "amorlip: block 'encoder_a/w0': checkpoint shape (10, 16) != expected (10, 1000000000000)"
+            "amorlip: block 'encoder_a/w0': checkpoint shape (10, 16) != expected (10, 1000000000)"
         )
         assert peak < 64 * 2**20
 
@@ -646,6 +646,31 @@ FAILURES = [
                "optimizer step 13 is not finite (overflow encountered in multiply)",
                {"step": 13, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": ANY,
                 "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY}),
+    # step 1 drives log(tau) to -1e200: step 2 reads tau as 0.0, and the
+    # snapshot's gap, which needs a positive tau, is null
+    config_row("train-diverged-at-tau-0", {"lr_encoder": 1e200, "batch_size": 16, "epochs": 1}, 2,
+               "amorlip: training diverged: tau must be positive, got 0.0",
+               {"step": 2, "epoch": 1, "tau": 0.0, "amor_loss": None,
+                "median_abs_log_z_err": None}),
+    # overflowing steps end in a divergence, with no numpy warning on stderr
+    config_row("train-huge-lr_amortizer", {"lr_amortizer": 1e200, "batch_size": 16, "epochs": 1}, 2,
+               "amorlip: training diverged: "
+               "optimizer step 2 is not finite (overflow encountered in multiply)",
+               {"step": 8, "epoch": 1, "tau": ANY, "median_abs_log_z_err": ANY}),
+    config_row("train-huge-weight_decay", {"weight_decay": 1e200, "batch_size": 16, "epochs": 1}, 2,
+               "amorlip: training diverged: "
+               "optimizer step 2 is not finite (overflow encountered in multiply)",
+               {"step": 2, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": ANY,
+                "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY}),
+    # a checkpoint packs layer widths as u32; a width below that may still not fit in memory
+    config_row("config-f_d-width-beyond-u32", {"f_d": 1e200, "batch_size": 16, "epochs": 1},
+               "amorlip: config key 'f_d' gives a layer width of 3.2e+201, but a checkpoint"
+               " stores widths below 2**32"),
+    # embed_dim 1 keeps the first layer, drawn before the second fails, at 8 MB
+    config_row("train-amortizer-out-of-memory",
+               {"f_d": 1e6, "embed_dim": 1, "batch_size": 16, "epochs": 1},
+               "amorlip: out of memory: Unable to allocate 7.28 TiB for an array with shape"
+               " (1000000, 1000000) and data type float64"),
     # eval
     row("eval-missing-checkpoint",
         f"eval --data {DATA} --checkpoint {{tmp}}/no.ckpt --report {{tmp}}/r.json", 3,
@@ -684,7 +709,11 @@ FAILURES = [
       ]],
     eval_row("eval-inflated-config-size", 1,
              "amorlip: block 'encoder_a/w0': "
-             "checkpoint shape (10, 16) != expected (10, 1000000000000)",
+             "checkpoint shape (10, 16) != expected (10, 1000000000)",
+             fresh_checkpoint(set_block("cfg/encoder_hidden", 1e9))),
+    eval_row("eval-config-width-beyond-u32", 1,
+             "amorlip: config key 'encoder_hidden' gives a layer width of 1e+12, but a checkpoint"
+             " stores widths below 2**32",
              fresh_checkpoint(set_block("cfg/encoder_hidden", 1e12))),
     # verify: a failing check exits 2 with its JSON on stdout and nothing on stderr
     row("verify-spectral-10-features", "verify spectral --features 10", 2),

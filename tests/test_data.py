@@ -125,27 +125,27 @@ class TestFileFormat:
 class TestBatchIterator:
     def test_counts_and_distinctness(self):
         ds = generate_synthetic(10, 2, 4, 4, 0.0, seed=5)
-        batches = list(make_batch_plan(ds.n, 4, seed=0, epoch=1).batches())
-        assert len(batches) == 2
-        flat = np.concatenate(batches)
-        assert len(flat) == 8
-        assert len(set(flat.tolist())) == 8
+        plan = make_batch_plan(ds.n, 4, seed=0, epoch=1)
+        assert plan.shape == (2, 4)
+        assert len(set(plan.ravel().tolist())) == 8
 
     def test_deterministic_per_seed_epoch(self):
         ds = generate_synthetic(30, 2, 4, 4, 0.0, seed=5)
-        b1 = [b.tolist() for b in make_batch_plan(ds.n, 8, seed=3, epoch=2).batches()]
-        b2 = [b.tolist() for b in make_batch_plan(ds.n, 8, seed=3, epoch=2).batches()]
-        assert b1 == b2
+        b1 = make_batch_plan(ds.n, 8, seed=3, epoch=2)
+        b2 = make_batch_plan(ds.n, 8, seed=3, epoch=2)
+        assert b1.shape == (3, 8)
+        assert np.array_equal(b1, b2)
 
     def test_epochs_use_different_permutations(self):
         plan1 = make_batch_plan(200, 8, seed=3, epoch=1)
         plan2 = make_batch_plan(200, 8, seed=3, epoch=2)
-        assert not np.array_equal(plan1.permutation, plan2.permutation)
+        assert sorted(plan1.ravel().tolist()) == sorted(plan2.ravel().tolist()) == list(range(200))
+        assert not np.array_equal(plan1, plan2)
 
     def test_no_index_repeats_within_epoch(self):
         plan = make_batch_plan(100, 7, seed=1, epoch=4)
-        seen = np.concatenate(list(plan.batches()))
-        assert len(seen) == len(set(seen.tolist()))
+        assert plan.shape == (14, 7)
+        assert len(set(plan.ravel().tolist())) == plan.size
 
     def test_bad_batch_sizes_rejected(self):
         ds = generate_synthetic(10, 2, 4, 4, 0.0, seed=5)

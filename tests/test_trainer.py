@@ -49,6 +49,13 @@ def strip_wall(records):
     return [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
 
 
+def assert_same_blocks(got, want):
+    got, want = state_blocks(got), state_blocks(want)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, g), (_, w) in zip(got, want):
+        assert np.array_equal(g, w), name
+
+
 class TestTrainConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -64,6 +71,15 @@ class TestTrainConfig:
         # the amortizer width ceil(f_d * embed_dim) must be a finite number
         with pytest.raises(ConfigError, match="f_d must be positive, with a finite width"):
             TrainConfig(f_d=1e308).validate()
+        # a checkpoint packs each layer width as a u32
+        for key, values in [
+            ("embed_dim", {"embed_dim": 2**32}),
+            ("encoder_hidden", {"encoder_hidden": 2**32}),
+            ("f_d", {"f_d": 2**32, "embed_dim": 1}),
+        ]:
+            with pytest.raises(ConfigError, match=f"'{key}' gives a layer width of 4.295e"):
+                TrainConfig(**values).validate()
+        TrainConfig(f_d=2**32 - 1, embed_dim=1, encoder_hidden=2**32 - 1).validate()
         # a float field takes ints, but only ones a float64 can hold
         for field in dataclasses.fields(TrainConfig):
             if type(field.default) is float:
@@ -120,15 +136,10 @@ class TestCadence:
         ds = small_ds(200)  # 11 steps per epoch
         with pytest.raises(ConfigError, match="'t_online' must be at most the 11 steps per epoch"):
             run_amorlip(small_cfg(epochs=1, t_online=1000), ds)
-        # the epoch-1 rotation runs before the step budget is checked, so
-        # the online amortizers hold their epoch-1 draws, never stepped
+        # a budget of no steps runs nothing, the epoch-1 rotation included
         cfg = small_cfg(epochs=1)
         state = run_amorlip(cfg, ds, max_steps=0)
-        assert state.gather_count == 0 and state.opt_amortizer.t == 0
-        for i, m in enumerate(("a", "b")):
-            fresh = init_amortizer(cfg.embed_dim, cfg.f_d, m, (cfg.seed, AMORTIZER_REINIT_SALT, 1, i))
-            for got, want in zip(state.online[m].blocks(), fresh.blocks()):
-                assert np.array_equal(got.value, want.value)
+        assert_same_blocks(state, init_train_state(cfg, ds))
 
 
 class TestTrainingRuns:
@@ -212,13 +223,11 @@ class TestTrainingRuns:
         cfg = small_cfg(epochs=1, t_online=11, t_target=11)  # 11 steps per epoch
         state = init_train_state(cfg, ds)
         # amortizer forced far below the partition scale: exp overflows;
-        # mid-epoch counters keep the epoch rotation from re-initializing it,
-        # and the failing step 2 runs neither the amortization stage nor the EMA
+        # resuming after step 1 keeps the epoch rotation from re-initializing
+        # it, and the failing step 2 runs neither the amortization stage nor the EMA
         for m in ("a", "b"):
             state.targets[m].ema.weights[-1].value[...] = 0.0
             state.targets[m].ema.biases[-1].value[0, 0] = -800.0
-        state.epoch = 1
-        state.step_in_epoch = 1
         state.global_step = 1
         with pytest.raises(TrainingDivergence) as err:
             run_amorlip(cfg, ds, start_state=state)
@@ -407,24 +416,32 @@ class TestCheckpoints:
         with pytest.raises(Exception, match="magic"):
             checkpoint_load_blocks(path)
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+    # 270 training samples at batch 16: 16 steps per epoch
+    @pytest.mark.parametrize(
+        "method, stop",
+        [
+            pytest.param(method, stop, id=f"{method}-{name}")
+            for method in ("amorlip", "clip")
+            for name, stop in (("mid-epoch", 20), ("one-epoch", 16), ("two-epochs", 32), ("no-step", 0))
+        ],
+    )
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, method, stop):
         ds = small_ds(300)
-        cfg = small_cfg(epochs=3)
+        cfg = small_cfg(method=method, epochs=3)
         full = MetricsWriter()
-        final_full = run_amorlip(cfg, ds, full)
+        final_full = run_training(cfg, ds, full)
 
         part1 = MetricsWriter()
-        state = run_amorlip(cfg, ds, part1, max_steps=20)  # mid-epoch stop
-        path = tmp_path / "mid.ckpt"
+        state = run_training(cfg, ds, part1, max_steps=stop)
+        assert state.global_step == stop
+        path = tmp_path / "stop.ckpt"
         checkpoint_save(state, path)
         restored = restore_train_state(cfg, ds, path)
         part2 = MetricsWriter()
-        final_resumed = run_amorlip(cfg, ds, part2, start_state=restored)
+        final_resumed = run_training(cfg, ds, part2, start_state=restored)
 
         assert strip_wall(part1.records + part2.records) == strip_wall(full.records)
-        for b1, b2 in zip(state_blocks(final_full), state_blocks(final_resumed)):
-            assert b1[0] == b2[0]
-            assert np.array_equal(b1[1], b2[1])
+        assert_same_blocks(final_resumed, final_full)
 
     def test_resume_clip_baseline(self, tmp_path):
         ds = small_ds(300)
@@ -508,3 +525,9 @@ class TestFidelityExperiment:
         assert set(res) >= {"median_abs_log_z_err", "mean_abs_log_z_err", "tau", "optimizer_steps"}
         assert res["optimizer_steps"] == 40 * cfg.t_lambda
         assert math.isfinite(res["median_abs_log_z_err"])
+
+    def test_eval_split_smaller_than_batch_rejected(self):
+        # 200 samples hold out 20, fewer than one batch of 64
+        cfg = small_cfg(batch_size=64)
+        with pytest.raises(ConfigError, match="batch_size 64 exceeds dataset size 20"):
+            trainer_mod.amortizer_fidelity_experiment(cfg, small_ds(200), pretrain_epochs=1)
