@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .encoders import EmbeddingBatch
+from .encoders import EmbeddingBatch, scaled_similarity
 from .errors import ContractError, DegenerateInputError, DomainError
 from .net import Mlp
 from .numerics import Array, ParamStore, row_logsumexp
@@ -112,14 +112,7 @@ def exact_partition(
     diagonal dropped; mean semantics keep the value scale-consistent when
     the same definition is evaluated over slices of different sizes.
     """
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if emb_l.dim != emb_lp.dim:
-        raise ContractError(f"embedding dims differ: {emb_l.dim} vs {emb_lp.dim}")
-    if emb_l.n != emb_lp.n:
-        raise ContractError(f"batch sizes differ: {emb_l.n} vs {emb_lp.n}")
-    n = emb_l.n
-    scaled = tau * (emb_l.data @ emb_lp.data.T)
+    n, _, scaled = scaled_similarity(emb_l, emb_lp, tau)
     if include_positive:
         log_z = row_logsumexp(scaled) - math.log(n)
     else:

@@ -210,6 +210,8 @@ def split_eval(ds: PairedDataset, eval_fraction: float, seed: int):
     """Hold out a seeded permutation slice for evaluation; returns (train, eval)."""
     if not 0.0 < eval_fraction < 1.0:
         raise ConfigError(f"eval_fraction must lie in (0, 1), got {eval_fraction}")
+    if ds.n < 2:
+        raise ConfigError(f"need at least 2 samples to hold out an eval split, got n={ds.n}")
     n_eval = int(round(ds.n * eval_fraction))
     n_eval = min(max(n_eval, 1), ds.n - 1)
     perm = seeded_rng(seed, SPLIT_SEED_SALT).permutation(ds.n)

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DegenerateInputError, DomainError
 from .net import Mlp
 from .numerics import Array, ParamBlock, l2_normalize_rows
 
@@ -153,3 +153,17 @@ def similarity_matrix(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch) -> Array:
     if emb_a.n != emb_b.n:
         raise ContractError(f"batch sizes differ: {emb_a.n} vs {emb_b.n}")
     return emb_a.data @ emb_b.data.T
+
+
+def scaled_similarity(
+    emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, tau: float, min_n: int = 1
+) -> tuple[int, Array, Array]:
+    """(n, S, tau * S) for two batches of at least min_n rows: the one checked
+    score matrix that the losses and the exact partitions start from."""
+    s = similarity_matrix(emb_a, emb_b)
+    n = emb_a.n
+    if n < min_n:
+        raise DegenerateInputError(f"batch of {n} below the minimum of {min_n}")
+    if tau <= 0:
+        raise DomainError(f"tau must be positive, got {tau}")
+    return n, s, tau * s

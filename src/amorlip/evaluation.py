@@ -9,7 +9,7 @@ import numpy as np
 
 from .amortization import amortize_forward, exact_partition
 from .data import PairedDataset
-from .encoders import MODALITIES, EmbeddingBatch, encode
+from .encoders import MODALITIES, EmbeddingBatch, encode, similarity_matrix
 from .errors import ConfigError, ContractError
 from .numerics import Array
 
@@ -54,9 +54,7 @@ def _ranks_of_partners(scores: Array) -> Array:
 
 def _partner_ranks(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch) -> tuple[Array, Array]:
     """Partner ranks for a querying b, then b querying a, from one score matrix."""
-    if emb_a.n != emb_b.n or emb_a.dim != emb_b.dim:
-        raise ContractError("embedding batches must share n and dim")
-    scores = emb_a.data @ emb_b.data.T
+    scores = similarity_matrix(emb_a, emb_b)
     return _ranks_of_partners(scores), _ranks_of_partners(scores.T)
 
 

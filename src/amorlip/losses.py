@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import EmbeddingBatch, similarity_matrix
-from .errors import ContractError, DegenerateInputError, DomainError
+from .encoders import EmbeddingBatch, scaled_similarity
+from .errors import ContractError, DomainError
 from .numerics import Array, max_relative_discrepancy, row_logsumexp
 
 
@@ -31,14 +31,24 @@ class LossOutput:
     tau_grad: float
 
 
-def _check_pair(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, min_n: int) -> int:
-    if emb_a.dim != emb_b.dim:
-        raise ContractError(f"embedding dims differ: {emb_a.dim} vs {emb_b.dim}")
-    if emb_a.n != emb_b.n:
-        raise ContractError(f"batch sizes differ: {emb_a.n} vs {emb_b.n}")
-    if emb_a.n < min_n:
-        raise DegenerateInputError(f"batch of {emb_a.n} below the minimum of {min_n}")
-    return emb_a.n
+def _loss_tail(
+    emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, s: Array, tau: float, spread: float,
+    w: Array, div: int,
+) -> LossOutput:
+    """The tail both stage-II losses share: value -(2 tau / n) tr S + spread,
+    where the spread term has gradient (tau / div) W on S and sum(S * W) / div
+    on tau. NCE passes W = p_rows + p_cols over n, the amortized loss
+    W = e_a + e_b over n^2."""
+    n = s.shape[0]
+    trace = float(np.trace(s))
+    d_s = (tau / div) * w
+    d_s[np.diag_indices(n)] -= 2.0 * tau / n
+    return LossOutput(
+        value=-(2.0 * tau / n) * trace + spread,
+        grad_a=d_s @ emb_b.data,
+        grad_b=d_s.T @ emb_a.data,
+        tau_grad=-(2.0 / n) * trace + float(np.sum(s * w)) / div,
+    )
 
 
 def nce_loss(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, tau: float) -> LossOutput:
@@ -49,24 +59,12 @@ def nce_loss(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, tau: float) -> LossOu
 
     An all-identical batch gives exactly 2 log(n), independent of tau.
     """
-    n = _check_pair(emb_a, emb_b, min_n=2)
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    s = similarity_matrix(emb_a, emb_b)
-    ts = tau * s
+    n, s, ts = scaled_similarity(emb_a, emb_b, tau, min_n=2)
     lse_rows = row_logsumexp(ts)
     lse_cols = row_logsumexp(ts.T)
-    trace = float(np.trace(s))
-    value = -(2.0 * tau / n) * trace + float(np.sum(lse_rows) + np.sum(lse_cols)) / n
-
-    p_rows = np.exp(ts - lse_rows[:, None])
-    p_cols = np.exp(ts - lse_cols[None, :])
-    d_s = (tau / n) * (p_rows + p_cols)
-    d_s[np.diag_indices(n)] -= 2.0 * tau / n
-    grad_a = d_s @ emb_b.data
-    grad_b = d_s.T @ emb_a.data
-    tau_grad = -(2.0 / n) * trace + float(np.sum(s * (p_rows + p_cols))) / n
-    return LossOutput(value=value, grad_a=grad_a, grad_b=grad_b, tau_grad=tau_grad)
+    spread = float(np.sum(lse_rows) + np.sum(lse_cols)) / n
+    p_sum = np.exp(ts - lse_rows[:, None]) + np.exp(ts - lse_cols[None, :])
+    return _loss_tail(emb_a, emb_b, s, tau, spread, p_sum, n)
 
 
 def amortized_mle_loss(
@@ -87,9 +85,7 @@ def amortized_mle_loss(
     when lambda matches the mean-form batch partition exactly, each
     direction's sum equals 1 and the second term is exactly 2.
     """
-    n = _check_pair(emb_a, emb_b, min_n=1)
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    n, s, ts = scaled_similarity(emb_a, emb_b, tau)
     la = np.asarray(log_lambda_a, dtype=np.float64).ravel()
     lb = np.asarray(log_lambda_b, dtype=np.float64).ravel()
     if la.shape[0] != n or lb.shape[0] != n:
@@ -97,8 +93,6 @@ def amortized_mle_loss(
     if not (np.all(np.isfinite(la)) and np.all(np.isfinite(lb))):
         raise DomainError("log lambda values must be finite")
 
-    s = similarity_matrix(emb_a, emb_b)
-    ts = tau * s
     with np.errstate(over="ignore"):  # overflow is detected and reported below
         e_a = np.exp(ts - la[:, None])
         e_b = np.exp(ts - lb[None, :])
@@ -109,16 +103,8 @@ def amortized_mle_loss(
                 f"exp overflow in direction {name} at sample pair ({int(i)}, {int(j)}); "
                 "the amortizer has diverged from the partition scale"
             )
-    trace = float(np.trace(s))
-    value = -(2.0 * tau / n) * trace + (float(np.sum(e_a)) + float(np.sum(e_b))) / (n * n)
-
-    e_sum = e_a + e_b
-    d_s = (tau / (n * n)) * e_sum
-    d_s[np.diag_indices(n)] -= 2.0 * tau / n
-    grad_a = d_s @ emb_b.data
-    grad_b = d_s.T @ emb_a.data
-    tau_grad = -(2.0 / n) * trace + float(np.sum(s * e_sum)) / (n * n)
-    return LossOutput(value=value, grad_a=grad_a, grad_b=grad_b, tau_grad=tau_grad)
+    spread = (float(np.sum(e_a)) + float(np.sum(e_b))) / (n * n)
+    return _loss_tail(emb_a, emb_b, s, tau, spread, e_a + e_b, n * n)
 
 
 def mle_gradient_equivalence_check(
@@ -133,11 +119,7 @@ def mle_gradient_equivalence_check(
     The two are algebraically identical (grad log Z = grad Z / Z); the check
     evaluates both through deliberately different numerical paths.
     """
-    n = _check_pair(emb_a, emb_b, min_n=2)
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    s = similarity_matrix(emb_a, emb_b)
-    ts = tau * s
+    n, _, ts = scaled_similarity(emb_a, emb_b, tau, min_n=2)
 
     # path (a): softmax weights via logsumexp, mean-form normalizer cancels
     lse_rows = row_logsumexp(ts)

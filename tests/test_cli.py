@@ -568,6 +568,10 @@ FAILURES = [
         # modality b, sample 7, feature 2
         files={"nan.apds": patched(write_data, b"APDS1\n", 6 + 16 + 4 * (300 * 10 + 7 * 9 + 2),
                                    struct.pack("<f", math.nan))}),
+    # a valid APDS1 file of one sample (dims 2 and 2, 2 classes): no eval split
+    row("train-one-sample-dataset", "train --data {tmp}/one.apds", 1,
+        "amorlip: need at least 2 samples to hold out an eval split, got n=1",
+        files={"one.apds": b"APDS1\n" + struct.pack("<4I4fI", 1, 2, 2, 2, 1, 0, 0, 1, 0)}),
     row("train-missing-config", f"train --data {DATA} --config {{tmp}}/nope.json", 3,
         "amorlip: cannot read config: [Errno 2] No such file or directory: '{tmp}/nope.json'"),
     row("train-checkpoint-missing-dir",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from amorlip.amortization import exact_partition
 from amorlip.encoders import (
     EmbeddingBatch,
     Temperature,
@@ -11,7 +12,9 @@ from amorlip.encoders import (
     init_encoders,
     similarity_matrix,
 )
-from amorlip.errors import ContractError
+from amorlip.errors import ContractError, DegenerateInputError, DomainError
+from amorlip.evaluation import _partner_ranks
+from amorlip.losses import amortized_mle_loss, mle_gradient_equivalence_check, nce_loss
 from amorlip.net import Mlp
 from amorlip.numerics import ParamStore, finite_difference_gradient, gradcheck_error, seeded_rng
 
@@ -169,6 +172,39 @@ class TestSimilarityMatrix:
     def test_mismatch_rejected(self):
         with pytest.raises(ContractError):
             similarity_matrix(EmbeddingBatch(np.eye(3), "a"), EmbeddingBatch(np.eye(4), "b"))
+
+
+# Every all-pairs computation, with whether it takes tau and the smallest
+# batch it accepts; each checks its two batches through the same code.
+PAIR_CALLERS = [
+    pytest.param(nce_loss, True, 2, id="nce_loss"),
+    pytest.param(
+        lambda a, b, tau: amortized_mle_loss(a, b, tau, np.zeros(a.n), np.zeros(a.n)),
+        True, 1, id="amortized_mle_loss",
+    ),
+    pytest.param(exact_partition, True, 1, id="exact_partition"),
+    pytest.param(mle_gradient_equivalence_check, True, 2, id="mle_gradient_equivalence_check"),
+    pytest.param(lambda a, b, tau: _partner_ranks(a, b), False, 1, id="_partner_ranks"),
+]
+
+
+@pytest.mark.parametrize("call, takes_tau, min_n", PAIR_CALLERS)
+def test_all_pairs_callers_share_one_check(call, takes_tau, min_n):
+    rows = np.eye(4)[:3]
+    ea, eb = EmbeddingBatch(rows, "a"), EmbeddingBatch(rows, "b")
+    with pytest.raises(ContractError, match=r"^embedding dims differ: 4 vs 3$"):
+        call(ea, EmbeddingBatch(rows[:, :3], "b"), 1.0)
+    with pytest.raises(ContractError, match=r"^batch sizes differ: 3 vs 2$"):
+        call(ea, EmbeddingBatch(rows[:2], "b"), 1.0)
+    if takes_tau:
+        with pytest.raises(DomainError, match=r"^tau must be positive, got 0\.0$"):
+            call(ea, eb, 0.0)
+    one = EmbeddingBatch(rows[:1], "a"), EmbeddingBatch(rows[:1], "b")
+    if min_n == 2:
+        with pytest.raises(DegenerateInputError, match=r"^batch of 1 below the minimum of 2$"):
+            call(*one, 1.0)
+    else:
+        call(*one, 1.0)
 
 
 class TestTemperature:
