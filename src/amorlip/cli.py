@@ -137,7 +137,6 @@ def _cmd_train(args) -> int:
         if v is not None
     }
     cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
     if cfg.method == "clip" and (args.objective is not None or args.generator is not None):
         print("warning: --method clip ignores amortization flags", file=sys.stderr)
 

@@ -63,9 +63,9 @@ class PairedDataset:
     def subset(self, indices) -> "PairedDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return PairedDataset(
-            mod_a=self.mod_a[idx].copy(),
-            mod_b=self.mod_b[idx].copy(),
-            labels=self.labels[idx].copy(),
+            mod_a=self.mod_a[idx],
+            mod_b=self.mod_b[idx],
+            labels=self.labels[idx],
             num_classes=self.num_classes,
         )
 

@@ -22,15 +22,13 @@ class Mlp:
     same key reproduces the draws bit for bit.
     """
 
-    def __init__(self, dims: list[int], name: str, seed_key: tuple[int, ...] | None = None):
+    def __init__(self, dims: list[int], name: str, seed_key: tuple[int, ...]):
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ContractError(f"{name}: invalid layer dims {dims}")
         self.dims = [int(d) for d in dims]
         self.name = name
         self.weights: list[ParamBlock] = []
         self.biases: list[ParamBlock] = []
-        if seed_key is None:
-            seed_key = (0,)
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             rng = seeded_rng(*seed_key, i)
             limit = math.sqrt(6.0 / (fan_in + fan_out))

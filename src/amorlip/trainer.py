@@ -92,10 +92,12 @@ def _parse_int(text: str) -> int:
         ) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Every knob of the training loop. The JSON config file is a flat
-    object mirroring these field names; CLI flags override file values."""
+    object mirroring these field names; CLI flags override file values.
+    A config is validated when it is built, dataclasses.replace included,
+    and cannot be changed afterwards."""
 
     method: str = "amorlip"
     objective: str = "l2log"
@@ -124,6 +126,9 @@ class TrainConfig:
     eval_fraction: float = 0.1
     seed: int = 7
     log_every: int = 10
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for field in dataclasses.fields(self):
@@ -213,9 +218,7 @@ class TrainConfig:
             accepted = (int, float) if kind is float else kind
             if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
                 raise ConfigError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -292,7 +295,6 @@ def init_train_state(cfg: TrainConfig, ds: PairedDataset) -> TrainState:
 
 
 def _new_state(cfg: TrainConfig, input_dims: dict[str, int]) -> TrainState:
-    cfg.validate()
     encoders = init_encoders(
         input_dims,
         hidden=cfg.encoder_hidden,
@@ -457,7 +459,6 @@ def run_training(
     not numpy warnings, report non-finite values. For "amorlip", t_online
     and t_target above the steps per epoch are a ConfigError.
     """
-    cfg.validate()
     amortized = cfg.method == "amorlip"
     train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
     if train_ds.n < cfg.batch_size:

@@ -86,6 +86,16 @@ class TestTrainConfig:
                 with pytest.raises(ConfigError, match=f"'{field.name}' must fit a float64"):
                     TrainConfig(**{field.name: -(10**400)}).validate()
 
+    def test_valid_by_construction(self):
+        with pytest.raises(ConfigError, match="t_online"):
+            TrainConfig(t_online=0)
+        with pytest.raises(ConfigError, match="epochs >= 1"):
+            dataclasses.replace(TrainConfig(), epochs=0)
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 3
+        assert cfg.seed == 7
+
     def test_value_types(self):
         # float fields take ints; nothing is coerced
         assert TrainConfig.from_dict({"tau_init": 14, "alpha": 1}).tau_init == 14
