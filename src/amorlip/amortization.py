@@ -58,7 +58,6 @@ def init_amortizer(
 class AmortizeCache:
     net: Mlp
     acts: list[Array]
-    n: int
 
 
 def amortize_forward(theta: Mlp, emb: EmbeddingBatch):
@@ -70,12 +69,12 @@ def amortize_forward(theta: Mlp, emb: EmbeddingBatch):
     if not np.all(np.isfinite(log_lam)):
         bad = int(np.argmax(~np.isfinite(log_lam)))
         raise DomainError(f"amortizer produced a non-finite log-value at sample {bad}")
-    return log_lam, AmortizeCache(net=theta, acts=acts, n=emb.n)
+    return log_lam, AmortizeCache(net=theta, acts=acts)
 
 
 def amortize_backward(cache: AmortizeCache, upstream) -> None:
     """Accumulate d(loss)/d(log lambda) into the amortizer's ParamBlocks."""
-    g = np.asarray(upstream, dtype=np.float64).reshape(cache.n, 1)
+    g = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
     cache.net.backward(cache.acts, g)
 
 

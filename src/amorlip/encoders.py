@@ -25,7 +25,7 @@ class Temperature:
     applied by the trainer after every optimizer step.
     """
 
-    def __init__(self, init_tau: float = 1.0 / 0.07, tau_max: float = 100.0):
+    def __init__(self, init_tau: float, tau_max: float):
         if init_tau <= 0 or tau_max <= 0:
             raise DomainError(f"temperatures must be positive, got init {init_tau}, max {tau_max}")
         self.block = ParamBlock("temperature/log_tau", np.array([[math.log(init_tau)]]))
@@ -90,10 +90,10 @@ class EncoderParams:
 
 def init_encoders(
     input_dims: dict[str, int],
-    hidden: int = 64,
-    depth: int = 2,
-    embed_dim: int = 32,
-    seed: int = 0,
+    hidden: int,
+    depth: int,
+    embed_dim: int,
+    seed: int,
 ) -> EncoderParams:
     """Fresh encoder parameters; draws are keyed by (seed, salt, modality, layer)."""
     if set(input_dims) != set(MODALITIES):
@@ -112,7 +112,6 @@ class EncodeCache:
     net: Mlp
     acts: list[Array]
     norm_backward: Callable[[Array], Array]
-    out_shape: tuple[int, int]
 
 
 def encode(params: EncoderParams, inputs, modality: str):
@@ -130,7 +129,7 @@ def encode(params: EncoderParams, inputs, modality: str):
         raise ContractError("encode requires at least one row")
     raw, acts = net.forward(x)
     emb, norm_backward = l2_normalize_rows(raw)
-    cache = EncodeCache(net=net, acts=acts, norm_backward=norm_backward, out_shape=emb.shape)
+    cache = EncodeCache(net=net, acts=acts, norm_backward=norm_backward)
     return EmbeddingBatch(data=emb, modality=modality), cache
 
 
@@ -141,8 +140,9 @@ def encoder_backward(cache: EncodeCache, upstream) -> None:
     formed.
     """
     g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != cache.out_shape:
-        raise ContractError(f"upstream shape {g.shape} != embedding shape {cache.out_shape}")
+    # the raw output has the embedding's shape: normalization keeps it
+    if g.shape != cache.acts[-1].shape:
+        raise ContractError(f"upstream shape {g.shape} != embedding shape {cache.acts[-1].shape}")
     cache.net.backward(cache.acts, cache.norm_backward(g))
 
 

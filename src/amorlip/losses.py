@@ -159,28 +159,18 @@ def temperature_rescale(raw: LossOutput, tau: float, rho: float) -> LossOutput:
     )
 
 
-@dataclass(frozen=True)
-class RhoSchedule:
-    """Piecewise-constant regularizer: rho_main, then rho_anneal once the
-    epoch fraction passes anneal_start_fraction."""
-
-    rho_main: float
-    rho_anneal: float
-    anneal_start_fraction: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.anneal_start_fraction <= 1.0:
-            raise DomainError(
-                f"anneal_start_fraction must lie in [0, 1], got {self.anneal_start_fraction}"
-            )
-
-
-def rho_at(epoch: int, total: int, sched: RhoSchedule) -> float:
-    """rho for a 1-based epoch index. The switch uses a strict comparison,
-    so a fraction of 1.0 never anneals and with total = 30, fraction = 0.75
-    the boundary falls between epochs 22 and 23."""
+def rho_at(
+    epoch: int, total: int, rho_main: float, rho_anneal: float, anneal_start_fraction: float
+) -> float:
+    """Piecewise-constant regularizer for a 1-based epoch index: rho_main,
+    then rho_anneal once the epoch fraction passes anneal_start_fraction.
+    The switch uses a strict comparison, so a fraction of 1.0 never anneals
+    and with total = 30, fraction = 0.75 the boundary falls between epochs
+    22 and 23."""
+    if not 0.0 <= anneal_start_fraction <= 1.0:
+        raise DomainError(f"anneal_start_fraction must lie in [0, 1], got {anneal_start_fraction}")
     if not 1 <= epoch <= total:
         raise DomainError(f"epoch {epoch} outside [1, {total}]")
-    if epoch / total > sched.anneal_start_fraction:
-        return sched.rho_anneal
-    return sched.rho_main
+    if epoch / total > anneal_start_fraction:
+        return rho_anneal
+    return rho_main

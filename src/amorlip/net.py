@@ -27,18 +27,16 @@ class Mlp:
             raise ContractError(f"{name}: invalid layer dims {dims}")
         self.dims = [int(d) for d in dims]
         self.name = name
-        self.weights: list[ParamBlock] = []
-        self.biases: list[ParamBlock] = []
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes = list(zip(self.dims[:-1], self.dims[1:]))
+        self.weights: list[ParamBlock] = [None] * len(shapes)  # type: ignore[list-item]
+        # largest first, so a network too large to allocate fails before any
+        # layer is drawn; each layer has its own generator, so the order changes
+        # no draw, and each draw is dropped once its block holds a copy
+        for i in sorted(range(len(shapes)), key=lambda i: -shapes[i][0] * shapes[i][1]):
+            limit = math.sqrt(6.0 / sum(shapes[i]))
             rng = seeded_rng(*seed_key, i)
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-            self.weights.append(ParamBlock(f"{name}/w{i}", w))
-            self.biases.append(ParamBlock(f"{name}/b{i}", np.zeros((1, fan_out))))
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+            self.weights[i] = ParamBlock(f"{name}/w{i}", rng.uniform(-limit, limit, size=shapes[i]))
+        self.biases = [ParamBlock(f"{name}/b{i}", np.zeros((1, d))) for i, d in enumerate(self.dims[1:])]
 
     def blocks(self) -> list[ParamBlock]:
         out = []
@@ -56,7 +54,7 @@ class Mlp:
                 f"{self.name}: input shape {h.shape} incompatible with dim {self.dims[0]}"
             )
         acts = [h]
-        last = self.n_layers - 1
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.value + b.value
             h = np.tanh(z) if i < last else z
@@ -71,7 +69,7 @@ class Mlp:
             raise ContractError(
                 f"{self.name}: upstream shape {g.shape} != output shape {acts[-1].shape}"
             )
-        for i in range(self.n_layers - 1, -1, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             self.weights[i].grad += acts[i].T @ g
             self.biases[i].grad += g.sum(axis=0, keepdims=True)
             if i > 0:

@@ -74,20 +74,13 @@ class ParamBlock:
 
     name: str
     value: Array
-    grad: Array = field(default=None)  # type: ignore[assignment]
+    grad: Array = field(init=False)
 
     def __post_init__(self):
         self.value = np.array(self.value, dtype=np.float64)
         if self.value.ndim != 2:
             raise ContractError(f"{self.name}: parameter must be 2-D, got shape {self.value.shape}")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        else:
-            self.grad = np.array(self.grad, dtype=np.float64)
-            if self.grad.shape != self.value.shape:
-                raise ContractError(
-                    f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
-                )
+        self.grad = np.zeros_like(self.value)
 
 
 class ParamStore:

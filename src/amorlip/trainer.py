@@ -54,7 +54,7 @@ from .encoders import (
 )
 from .errors import ConfigError, ContractError, DomainError, FormatError, TrainingDivergence
 from .evaluation import partition_gap_stats
-from .losses import RhoSchedule, amortized_mle_loss, nce_loss, rho_at, temperature_rescale
+from .losses import amortized_mle_loss, nce_loss, rho_at, temperature_rescale
 from .net import Mlp
 from .numerics import AdamW, Array, ParamStore
 
@@ -202,9 +202,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -232,9 +229,6 @@ class TrainConfig:
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a flat JSON object")
         return cls.from_dict(values)
-
-    def rho_schedule(self) -> RhoSchedule:
-        return RhoSchedule(self.rho_main, self.rho_anneal, self.anneal_start_fraction)
 
 
 @dataclass
@@ -474,7 +468,6 @@ def run_training(
     state = start_state if start_state is not None else init_train_state(cfg, ds)
     total_steps = steps_per_epoch * cfg.epochs
     stop = total_steps if max_steps is None else min(max_steps, total_steps)
-    sched = cfg.rho_schedule()
     wall_start = time.perf_counter()
 
     def diverged(message: str) -> TrainingDivergence:
@@ -495,7 +488,7 @@ def run_training(
                 _rotate_and_reinit(state, epoch)
             state.global_step, state.epoch, state.step_in_epoch = step, epoch, k
             beta_t = beta_schedule(epoch, cfg.epochs, cfg.beta_final) if amortized else None
-            rho = rho_at(epoch, cfg.epochs, sched)
+            rho = rho_at(epoch, cfg.epochs, cfg.rho_main, cfg.rho_anneal, cfg.anneal_start_fraction)
             tau = state.temperature.tau
             emb, caches = _embed(state, train_ds, idx)
             logged = metrics is not None and (step in (1, total_steps) or step % cfg.log_every == 0)
@@ -614,7 +607,7 @@ def state_blocks(state: TrainState) -> list[tuple[str, Array]]:
     out += [(f"meta/{key}", _scalar(getattr(state, key))) for key in COUNTERS]
     # duplicates cfg/tau_max: the benchmark's own AMCK1 reader clamps tau with it
     out.append(("meta/tau_max", _scalar(state.config.tau_max)))
-    for key, value in state.config.to_dict().items():
+    for key, value in dataclasses.asdict(state.config).items():
         if key in CONFIG_CHOICES:
             value = CONFIG_CHOICES[key].index(value)
         out.append((f"cfg/{key}", _scalar(value)))
@@ -687,7 +680,7 @@ def _block(blocks: dict[str, Array], name: str, shape: tuple[int, ...] | None = 
 
 
 def _stored_config(blocks: dict[str, Array]) -> TrainConfig:
-    """The cfg/<field> blocks, decoded and validated by TrainConfig.from_dict."""
+    """The cfg/<field> blocks, decoded field by field for TrainConfig to validate."""
     values = {}
     for field in dataclasses.fields(TrainConfig):
         name = f"cfg/{field.name}"
@@ -700,7 +693,15 @@ def _stored_config(blocks: dict[str, Array]) -> TrainConfig:
             raise ConfigError(f"checkpoint block {name!r} holds {raw!r}, not {what}")
         else:
             values[field.name] = int(raw) if choices is None else choices[int(raw)]
-    return TrainConfig.from_dict(values)
+    return TrainConfig(**values)
+
+
+def _stored_count(blocks: dict[str, Array], name: str) -> int:
+    """A counter or optimizer step, checked to be an integer in [0, 2**53)."""
+    raw = float(blocks[name][0, 0])
+    if not (raw.is_integer() and 0 <= raw < INT_LIMIT):
+        raise ConfigError(f"checkpoint block {name!r} holds {raw!r}, not an integer in [0, 2**53)")
+    return int(raw)
 
 
 def _input_dims(cfg: TrainConfig, blocks: dict[str, Array]) -> dict[str, int]:
@@ -732,9 +733,9 @@ def load_eval_model(path) -> TrainState:
     for name, dest in state_blocks(state):
         dest[...] = _block(blocks, name, dest.shape)
     for tag, opt in _optimizers(state):
-        opt.t = int(blocks[f"{tag}/t"][0, 0])
+        opt.t = _stored_count(blocks, f"{tag}/t")
     for key in COUNTERS:
-        setattr(state, key, int(blocks[f"meta/{key}"][0, 0]))
+        setattr(state, key, _stored_count(blocks, f"meta/{key}"))
     return state
 
 
@@ -743,7 +744,7 @@ def restore_train_state(cfg: TrainConfig, ds: PairedDataset, path) -> TrainState
     must equal the stored config field by field (ConfigError naming the
     first that differs), and ds must have the stored input dims."""
     state = load_eval_model(path)
-    for key, stored in state.config.to_dict().items():
+    for key, stored in dataclasses.asdict(state.config).items():
         if getattr(cfg, key) != stored:
             raise ConfigError(
                 f"config key {key!r} is {getattr(cfg, key)!r}, the checkpoint stores {stored!r}"

@@ -32,7 +32,6 @@ from .amortization import (
 from .encoders import EmbeddingBatch, encode, encoder_backward, init_encoders
 from .errors import ConfigError
 from .losses import (
-    RhoSchedule,
     amortized_mle_loss,
     mle_gradient_equivalence_check,
     nce_loss,
@@ -375,12 +374,11 @@ def suite_schedules() -> list[dict]:
         worst = max(worst, float(np.max(np.abs(gap - expected))) / expected)
     checks.append(_check("schedules/ema_geometric", worst, 1e-9, worst <= 1e-9))
 
-    sched = RhoSchedule(6.5, -8.0, 0.75)
     ok = (
-        rho_at(22, 30, sched) == 6.5
-        and rho_at(23, 30, sched) == -8.0
-        and rho_at(30, 30, sched) == -8.0
-        and all(rho_at(e, 30, RhoSchedule(6.5, -8.0, 1.0)) == 6.5 for e in range(1, 31))
+        rho_at(22, 30, 6.5, -8.0, 0.75) == 6.5
+        and rho_at(23, 30, 6.5, -8.0, 0.75) == -8.0
+        and rho_at(30, 30, 6.5, -8.0, 0.75) == -8.0
+        and all(rho_at(e, 30, 6.5, -8.0, 1.0) == 6.5 for e in range(1, 31))
     )
     checks.append(_check("schedules/rho_boundaries", float(ok), 1.0, ok))
     return checks

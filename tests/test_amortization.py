@@ -5,6 +5,7 @@ import pytest
 
 from amorlip.amortization import (
     GENERATORS,
+    amortize_backward,
     amortize_forward,
     beta_schedule,
     combined_target,
@@ -122,6 +123,12 @@ class TestAmortizeForward:
         theta = init_amortizer(4, 0.5, "a", (1, 4))
         with pytest.raises(ContractError):
             amortize_forward(theta, unit_batch(seeded_rng(72), 3, 5))
+
+    def test_backward_wrong_length_upstream_rejected(self):
+        theta = init_amortizer(4, 0.5, "a", (1, 5))
+        _, cache = amortize_forward(theta, unit_batch(seeded_rng(73), 4, 4))
+        with pytest.raises(ContractError, match=r"upstream shape \(5, 1\) != output shape \(4, 1\)"):
+            amortize_backward(cache, np.zeros(5))
 
 
 class TestBetaSchedule:

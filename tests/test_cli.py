@@ -670,7 +670,7 @@ FAILURES = [
     config_row("config-f_d-width-beyond-u32", {"f_d": 1e200, "batch_size": 16, "epochs": 1},
                "amorlip: config key 'f_d' gives a layer width of 3.2e+201, but a checkpoint"
                " stores widths below 2**32"),
-    # embed_dim 1 keeps the first layer, drawn before the second fails, at 8 MB
+    # the amortizer's 1e6 x 1e6 middle layer is its largest, so it is drawn, and fails, first
     config_row("train-amortizer-out-of-memory",
                {"f_d": 1e6, "embed_dim": 1, "batch_size": 16, "epochs": 1},
                "amorlip: out of memory: Unable to allocate 7.28 TiB for an array with shape"
@@ -711,6 +711,12 @@ FAILURES = [
           ("cfg/include_positive", 0.5, "holds 0.5, not an index into (False, True)"),
           ("cfg/epochs", 2.5, "holds 2.5, not an integer"),
       ]],
+    # counters and optimizer steps must be counts: a resume continues from
+    # them, and AdamW's bias correction divides by 1 - beta ** t
+    *[eval_row(f"eval-undecodable-{block}", 1,
+               f"amorlip: checkpoint block {block!r} holds {value!r}, not an integer in [0, 2**53)",
+               fresh_checkpoint(set_block(block, value)))
+      for block, value in [("meta/global_step", 2.5), ("opt_enc/t", -1.0), ("opt_amor/t", 1e300)]],
     eval_row("eval-inflated-config-size", 1,
              "amorlip: block 'encoder_a/w0': "
              "checkpoint shape (10, 16) != expected (10, 1000000000)",

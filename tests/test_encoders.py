@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import amorlip
 from amorlip.amortization import exact_partition
 from amorlip.encoders import (
     EmbeddingBatch,
@@ -50,6 +54,24 @@ class TestMlp:
         net.backward(acts, probe)
         numeric = finite_difference_gradient(f, x0, 1e-6)
         assert gradcheck_error(store.grad, numeric) < 1e-6
+
+    def test_too_large_network_fails_before_drawing_a_layer(self):
+        # the 8 TB second layer is drawn before the 64 MB first one, so the
+        # MemoryError leaves the child's peak RSS where the imports left it
+        code = (
+            "import resource\n"
+            "from amorlip.net import Mlp\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "try:\n"
+            "    Mlp([8, 10**6, 10**6, 1], 'm', seed_key=(0,))\n"
+            "except MemoryError:\n"
+            "    print((peak() - before) // 1024)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amorlip.__file__)))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 32  # MiB; drawing the first layer adds over 128
 
 
 class TestEncode:
@@ -209,7 +231,7 @@ def test_all_pairs_callers_share_one_check(call, takes_tau, min_n):
 
 class TestTemperature:
     def test_standard_init(self):
-        t = Temperature()
+        t = Temperature(1.0 / 0.07, 100.0)
         assert abs(t.tau - 1.0 / 0.07) < 1e-9
         assert abs(t.log_tau - math.log(1.0 / 0.07)) < 1e-12
 
@@ -222,6 +244,6 @@ class TestTemperature:
         assert 0.0 < t.tau <= 100.0
 
     def test_grad_accumulation_chains_through_exp(self):
-        t = Temperature(init_tau=2.0)
+        t = Temperature(init_tau=2.0, tau_max=100.0)
         t.accumulate_tau_grad(3.0)
         assert abs(t.block.grad[0, 0] - 3.0 * 2.0) < 1e-12

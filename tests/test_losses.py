@@ -7,7 +7,6 @@ from amorlip.amortization import exact_partition
 from amorlip.encoders import EmbeddingBatch
 from amorlip.errors import DegenerateInputError, DomainError
 from amorlip.losses import (
-    RhoSchedule,
     amortized_mle_loss,
     mle_gradient_equivalence_check,
     nce_loss,
@@ -175,19 +174,17 @@ class TestTemperatureRescale:
 
 class TestRhoSchedule:
     def test_boundary_epochs(self):
-        sched = RhoSchedule(6.5, -8.0, 0.75)
-        assert rho_at(22, 30, sched) == 6.5
-        assert rho_at(23, 30, sched) == -8.0
-        assert rho_at(30, 30, sched) == -8.0
+        assert rho_at(22, 30, 6.5, -8.0, 0.75) == 6.5
+        assert rho_at(23, 30, 6.5, -8.0, 0.75) == -8.0
+        assert rho_at(30, 30, 6.5, -8.0, 0.75) == -8.0
 
     def test_fraction_one_never_anneals(self):
-        sched = RhoSchedule(6.5, -8.0, 1.0)
-        assert all(rho_at(e, 30, sched) == 6.5 for e in range(1, 31))
+        assert all(rho_at(e, 30, 6.5, -8.0, 1.0) == 6.5 for e in range(1, 31))
 
     def test_out_of_range_epoch_rejected(self):
         with pytest.raises(DomainError):
-            rho_at(0, 30, RhoSchedule(6.5, -8.0, 0.75))
+            rho_at(0, 30, 6.5, -8.0, 0.75)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(DomainError):
-            RhoSchedule(6.5, -8.0, 1.5)
+            rho_at(1, 30, 6.5, -8.0, 1.5)

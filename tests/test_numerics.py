@@ -100,10 +100,6 @@ class TestParamBlock:
         with pytest.raises(ContractError):
             ParamBlock("w", np.ones(3))
 
-    def test_grad_shape_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            ParamBlock("w", np.ones((2, 2)), grad=np.ones((2, 3)))
-
 
 class TestAdamW:
     def test_first_step_is_signed_lr(self):

@@ -105,7 +105,7 @@ class TestTrainConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = small_cfg(alpha=0.92)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert TrainConfig.from_file(path) == cfg
 
 
