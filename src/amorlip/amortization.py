@@ -66,7 +66,7 @@ def amortize_forward(theta: Mlp, emb: EmbeddingBatch):
         raise ContractError(f"amortizer expects embedding dim {theta.dims[0]}, got {emb.dim}")
     out, acts = theta.forward(emb.data)
     log_lam = out.ravel()
-    if not np.all(np.isfinite(log_lam)):
+    if not np.isfinite(log_lam).all():
         bad = int(np.argmax(~np.isfinite(log_lam)))
         raise DomainError(f"amortizer produced a non-finite log-value at sample {bad}")
     return log_lam, AmortizeCache(net=theta, acts=acts)
@@ -244,7 +244,7 @@ def fdiv_weights(sim: Array, tau: float, log_z_target: Array) -> Array:
         raise ContractError(f"similarity shape {s.shape} incompatible with targets {z.shape}")
     with np.errstate(over="ignore"):  # overflow is detected and reported below
         w = np.exp(tau * s - z[:, None])
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         i, j = np.argwhere(~np.isfinite(w))[0]
         raise DomainError(f"divergence weight overflow at sample pair ({int(i)}, {int(j)})")
     return w
@@ -270,7 +270,7 @@ def loss_fdiv_values(
     if weights.shape[0] != n:
         raise ContractError(f"weight rows {weights.shape[0]} != batch size {n}")
     gap = z - m
-    if np.any(np.abs(gap) > 700.0):
+    if (np.abs(gap) > 700.0).any():
         bad = int(np.argmax(np.abs(gap)))
         raise DomainError(
             f"partition/amortizer ratio overflows at sample {bad} (log gap {gap[bad]:.1f})"
@@ -291,7 +291,7 @@ def loss_l2log_values(log_lambda: Array, log_z_target: Array) -> tuple[float, Ar
     z = np.asarray(log_z_target, dtype=np.float64).ravel()
     if m.shape != z.shape:
         raise ContractError(f"log_lambda shape {m.shape} != target shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("log_z_target contains non-finite entries")
     n = m.shape[0]
     diff = m - z

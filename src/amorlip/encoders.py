@@ -54,7 +54,6 @@ class EmbeddingBatch:
     """A batch of unit-norm rows for one modality."""
 
     data: Array
-    modality: str
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -130,7 +129,7 @@ def encode(params: EncoderParams, inputs, modality: str):
     raw, acts = net.forward(x)
     emb, norm_backward = l2_normalize_rows(raw)
     cache = EncodeCache(net=net, acts=acts, norm_backward=norm_backward)
-    return EmbeddingBatch(data=emb, modality=modality), cache
+    return EmbeddingBatch(emb), cache
 
 
 def encoder_backward(cache: EncodeCache, upstream) -> None:

@@ -38,16 +38,19 @@ def _loss_tail(
     """The tail both stage-II losses share: value -(2 tau / n) tr S + spread,
     where the spread term has gradient (tau / div) W on S and sum(S * W) / div
     on tau. NCE passes W = p_rows + p_cols over n, the amortized loss
-    W = e_a + e_b over n^2."""
+    W = e_a + e_b over n^2. W is the caller's fresh C-ordered temporary and
+    becomes the gradient on S in place."""
     n = s.shape[0]
     trace = float(np.trace(s))
-    d_s = (tau / div) * w
-    d_s[np.diag_indices(n)] -= 2.0 * tau / n
+    s_dot_w = float(np.add.reduce(s * w, axis=None))
+    d_s = w
+    d_s *= tau / div
+    d_s.reshape(-1)[:: n + 1] -= 2.0 * tau / n  # C order makes this a view of the diagonal
     return LossOutput(
         value=-(2.0 * tau / n) * trace + spread,
         grad_a=d_s @ emb_b.data,
         grad_b=d_s.T @ emb_a.data,
-        tau_grad=-(2.0 / n) * trace + float(np.sum(s * w)) / div,
+        tau_grad=-(2.0 / n) * trace + s_dot_w / div,
     )
 
 
@@ -62,8 +65,12 @@ def nce_loss(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, tau: float) -> LossOu
     n, s, ts = scaled_similarity(emb_a, emb_b, tau, min_n=2)
     lse_rows = row_logsumexp(ts)
     lse_cols = row_logsumexp(ts.T)
-    spread = float(np.sum(lse_rows) + np.sum(lse_cols)) / n
-    p_sum = np.exp(ts - lse_rows[:, None]) + np.exp(ts - lse_cols[None, :])
+    spread = float(np.add.reduce(lse_rows) + np.add.reduce(lse_cols)) / n
+    p_sum = ts - lse_rows[:, None]
+    np.exp(p_sum, out=p_sum)
+    p_cols = ts - lse_cols[None, :]
+    np.exp(p_cols, out=p_cols)
+    p_sum += p_cols
     return _loss_tail(emb_a, emb_b, s, tau, spread, p_sum, n)
 
 
@@ -90,21 +97,24 @@ def amortized_mle_loss(
     lb = np.asarray(log_lambda_b, dtype=np.float64).ravel()
     if la.shape[0] != n or lb.shape[0] != n:
         raise ContractError(f"lambda vectors must have length {n}")
-    if not (np.all(np.isfinite(la)) and np.all(np.isfinite(lb))):
+    if not (np.isfinite(la).all() and np.isfinite(lb).all()):
         raise DomainError("log lambda values must be finite")
 
     with np.errstate(over="ignore"):  # overflow is detected and reported below
-        e_a = np.exp(ts - la[:, None])
-        e_b = np.exp(ts - lb[None, :])
+        e_a = ts - la[:, None]
+        e_b = ts - lb[None, :]
+        np.exp(e_a, out=e_a)
+        np.exp(e_b, out=e_b)
     for name, mat in (("a", e_a), ("b", e_b)):
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             i, j = np.argwhere(~np.isfinite(mat))[0]
             raise DomainError(
                 f"exp overflow in direction {name} at sample pair ({int(i)}, {int(j)}); "
                 "the amortizer has diverged from the partition scale"
             )
-    spread = (float(np.sum(e_a)) + float(np.sum(e_b))) / (n * n)
-    return _loss_tail(emb_a, emb_b, s, tau, spread, e_a + e_b, n * n)
+    spread = float(np.add.reduce(e_a, axis=None) + np.add.reduce(e_b, axis=None)) / (n * n)
+    e_a += e_b
+    return _loss_tail(emb_a, emb_b, s, tau, spread, e_a, n * n)
 
 
 def mle_gradient_equivalence_check(

@@ -47,7 +47,10 @@ class Mlp:
 
     def forward(self, x) -> tuple[Array, list[Array]]:
         """Returns (output, activations). activations[0] is the input, then
-        each layer's post-activation output; the cache feeds backward()."""
+        each layer's post-activation output; the cache feeds backward().
+
+        The bias add and tanh run in place on each fresh matmul output,
+        which gives the bits of np.tanh(h @ w + b)."""
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.dims[0]:
             raise ContractError(
@@ -56,14 +59,19 @@ class Mlp:
         acts = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.value + b.value
-            h = np.tanh(z) if i < last else z
+            h = h @ w.value
+            h += b.value
+            if i < last:
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
     def backward(self, acts: list[Array], upstream) -> None:
         """Accumulate parameter gradients. The gradient on the input is not
-        formed: no caller uses it."""
+        formed: no caller uses it.
+
+        Each layer's chain product is formed in place and gives the bits of
+        (g @ w.T) * (1 - a ** 2); neither acts nor upstream is written."""
         g = np.asarray(upstream, dtype=np.float64)
         if g.shape != acts[-1].shape:
             raise ContractError(
@@ -71,6 +79,9 @@ class Mlp:
             )
         for i in range(len(self.weights) - 1, -1, -1):
             self.weights[i].grad += acts[i].T @ g
-            self.biases[i].grad += g.sum(axis=0, keepdims=True)
+            self.biases[i].grad += np.add.reduce(g, axis=0, keepdims=True)
             if i > 0:
-                g = (g @ self.weights[i].value.T) * (1.0 - acts[i] ** 2)
+                slope = acts[i] * acts[i]
+                np.subtract(1.0, slope, out=slope)
+                g = g @ self.weights[i].value.T
+                g *= slope

@@ -29,11 +29,18 @@ def row_logsumexp(mat: Array) -> Array:
     """Row-wise logsumexp of a 2-D array.
 
     -inf entries are allowed as masks, as long as no row is entirely -inf.
+    The exp and log run in place on fresh temporaries, which gives the bits
+    of m + log(sum(exp(mat - m), axis=1)).
     """
-    m = np.max(mat, axis=1, keepdims=True)
-    if not np.all(np.isfinite(m)):
+    m = np.maximum.reduce(mat, axis=1, keepdims=True)
+    if not np.isfinite(m).all():
         raise DomainError("row_logsumexp: a row has no finite entry")
-    return (m + np.log(np.sum(np.exp(mat - m), axis=1, keepdims=True))).ravel()
+    shifted = mat - m
+    np.exp(shifted, out=shifted)
+    out = np.add.reduce(shifted, axis=1, keepdims=True)
+    np.log(out, out=out)
+    out += m
+    return out.ravel()
 
 
 def l2_normalize_rows(mat) -> tuple[Array, Callable[[Array], Array]]:
@@ -41,13 +48,16 @@ def l2_normalize_rows(mat) -> tuple[Array, Callable[[Array], Array]]:
 
     backward maps an upstream gradient on the output to the gradient on
     the input through the per-row Jacobian (I - u u^T) / ||z||, where u is
-    the normalized row and z the raw row.
+    the normalized row and z the raw row. The row norms take the path that
+    np.linalg.norm(m, axis=1) takes for real input, sqrt(add.reduce(m * m)),
+    and backward works in place, so both give numpy's bits.
     """
     m = np.asarray(mat, dtype=np.float64)
     if m.ndim != 2:
         raise ContractError(f"l2_normalize_rows expects a 2-D array, got shape {m.shape}")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(norms <= 1e-12):
+    norms = np.add.reduce(m * m, axis=1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    if (norms <= 1e-12).any():
         bad = int(np.argmin(norms))
         raise DegenerateInputError(f"row {bad} has norm {float(norms[bad, 0]):.3e} <= 1e-12")
     out = m / norms
@@ -58,8 +68,13 @@ def l2_normalize_rows(mat) -> tuple[Array, Callable[[Array], Array]]:
             raise ContractError(
                 f"upstream gradient shape {g.shape} != output shape {out.shape}"
             )
-        radial = np.sum(g * out, axis=1, keepdims=True)
-        return (g - radial * out) / norms
+        # (g - radial * out) / norms, in one buffer
+        grad = g * out
+        radial = np.add.reduce(grad, axis=1, keepdims=True)
+        np.multiply(radial, out, out=grad)
+        np.subtract(g, grad, out=grad)
+        grad /= norms
+        return grad
 
     return out, backward
 
@@ -248,8 +263,9 @@ def gradcheck_error(analytic, numeric) -> float:
     n = np.asarray(numeric, dtype=np.float64).ravel()
     if a.shape != n.shape:
         raise ContractError(f"gradient shapes differ: {a.shape} vs {n.shape}")
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(n))), 1e-12)
-    return float(np.max(np.abs(a - n))) / scale
+    peak = np.maximum.reduce
+    scale = max(float(peak(np.abs(a))), float(peak(np.abs(n))), 1e-12)
+    return float(peak(np.abs(a - n))) / scale
 
 
 def max_relative_discrepancy(a, b, floor: float = 1e-6) -> float:
@@ -263,4 +279,4 @@ def max_relative_discrepancy(a, b, floor: float = 1e-6) -> float:
     if a.shape != b.shape:
         raise ContractError(f"shapes differ: {a.shape} vs {b.shape}")
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom))
+    return float(np.maximum.reduce(np.abs(a - b) / denom))

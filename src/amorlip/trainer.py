@@ -340,11 +340,12 @@ def _rotate_and_reinit(state: TrainState, epoch: int) -> None:
 
 
 def _embed(state: TrainState, ds: PairedDataset, idx: Array):
+    """Encode rows idx of both modalities; encode converts them to float64."""
     emb = {}
     caches = {}
-    batches = {"a": ds.mod_a[idx], "b": ds.mod_b[idx]}
+    batches = {"a": ds.mod_a.take(idx, axis=0), "b": ds.mod_b.take(idx, axis=0)}
     for m in MODALITIES:
-        emb[m], caches[m] = encode(state.encoders, batches[m].astype(np.float64), m)
+        emb[m], caches[m] = encode(state.encoders, batches[m], m)
     return emb, caches
 
 
@@ -807,7 +808,7 @@ def amortizer_fidelity_experiment(
         loss = 0.0
         opt.store.zero_grad()
         for m in MODALITIES:
-            view = EmbeddingBatch(emb[m].data[idx], m)
+            view = EmbeddingBatch(emb[m].data[idx])
             loss += loss_l2log(online[m], view, targets[m][idx])
         opt.step()
 

@@ -70,10 +70,10 @@ def _check(name: str, value: float, tolerance, ok: bool) -> dict:
     }
 
 
-def _unit_batch(rng: np.random.Generator, n: int, d: int, modality: str) -> EmbeddingBatch:
+def _unit_batch(rng: np.random.Generator, n: int, d: int) -> EmbeddingBatch:
     raw = rng.standard_normal((n, d))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return EmbeddingBatch(data=raw, modality=modality)
+    return EmbeddingBatch(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,8 @@ def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
     rng = seeded_rng(9100, seed)
     n = int(rng.integers(2, 9))
     d = int(rng.integers(2, 17))
-    a = ParamBlock("a", _unit_batch(rng, n, d, "a").data)
-    b = ParamBlock("b", _unit_batch(rng, n, d, "b").data)
+    a = ParamBlock("a", _unit_batch(rng, n, d).data)
+    b = ParamBlock("b", _unit_batch(rng, n, d).data)
     tau = float(rng.uniform(0.5, 4.0))
     log_tau = ParamBlock("log_tau", [[math.log(tau)]])
     log_lam_a = rng.standard_normal(n)
@@ -111,7 +111,7 @@ def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
     rho = float(rng.uniform(-8.0, 8.0))
 
     def raw_loss(t: float):
-        ea, eb = EmbeddingBatch(a.value, "a"), EmbeddingBatch(b.value, "b")
+        ea, eb = EmbeddingBatch(a.value), EmbeddingBatch(b.value)
         if loss_kind == "mle":
             return amortized_mle_loss(ea, eb, t, log_lam_a, log_lam_b)
         return nce_loss(ea, eb, t)
@@ -139,8 +139,8 @@ def _gradcheck_amortizer_loss(objective: str, seed: int) -> float:
     rng = seeded_rng(9200, seed)
     n = int(rng.integers(2, 9))
     d = int(rng.integers(2, 13))
-    emb = _unit_batch(rng, n, d, "a")
-    other = _unit_batch(rng, n, d, "b")
+    emb = _unit_batch(rng, n, d)
+    other = _unit_batch(rng, n, d)
     tau = float(rng.uniform(0.5, 2.0))
     log_z = exact_partition(emb, other, tau).log_z_exact
     theta = init_amortizer(d, 0.5, "a", (seed, 9201))
@@ -190,7 +190,7 @@ def _gradcheck_amortize_forward(seed: int) -> float:
     rng = seeded_rng(9400, seed)
     n = int(rng.integers(2, 9))
     d = int(rng.integers(2, 13))
-    emb = _unit_batch(rng, n, d, "a")
+    emb = _unit_batch(rng, n, d)
     probe = rng.standard_normal(n)
     theta = init_amortizer(d, 0.75, "a", (seed, 9401))
     return _gradcheck_params(
@@ -300,8 +300,8 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     tau = 1.0
     for b in range(5):
         rng = seeded_rng(91_000, b)
-        batch = _unit_batch(rng, 8, d, "b")
-        query = _unit_batch(rng, 8, d, "a")
+        batch = _unit_batch(rng, 8, d)
+        query = _unit_batch(rng, 8, d)
         pe = exact_partition(query, batch, tau)
         fmap = sample_features(m_features, d, tau, seed=92_000 + b)
         for est, log_z in zip(partition_estimate_mc(query.data, batch, fmap), pe.log_z_exact):
@@ -395,8 +395,8 @@ def suite_equivalence(batches: int = 20) -> list[dict]:
         for seed in range(batches):
             rng = seeded_rng(9700, int(tau * 10), seed)
             nn = n if n is not None else int(rng.integers(4, 9))
-            emb_a = _unit_batch(rng, nn, 8, "a")
-            emb_b = _unit_batch(rng, nn, 8, "b")
+            emb_a = _unit_batch(rng, nn, 8)
+            emb_b = _unit_batch(rng, nn, 8)
             worst = max(worst, mle_gradient_equivalence_check(emb_a, emb_b, tau))
         checks.append(
             _check(f"equivalence/mle_forms_tau_{tau:g}", worst, tol, worst < tol)

@@ -42,10 +42,10 @@ def report(criterion: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} ({name}): {detail}"
 
 
-def identical_batch(n, d, modality):
+def identical_batch(n, d):
     row = np.zeros(d)
     row[0] = 1.0
-    return EmbeddingBatch(np.tile(row, (n, 1)), modality)
+    return EmbeddingBatch(np.tile(row, (n, 1)))
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ def test_criterion_2_closed_form_nce():
     worst = 0.0
     for n in (2, 4, 8):
         for tau in (1.0, 10.0, 50.0):
-            value = nce_loss(identical_batch(n, 6, "a"), identical_batch(n, 6, "b"), tau).value
+            value = nce_loss(identical_batch(n, 6), identical_batch(n, 6), tau).value
             worst = max(worst, abs(value - 2.0 * math.log(n)))
     report(2, "closed-form NCE", worst < 1e-9, f"max |value - 2 ln n| = {worst:.2e} (tol 1e-9)")
 
@@ -103,10 +103,10 @@ def test_criterion_3_amortization_optimum():
     rng = seeded_rng(301)
     raw = rng.standard_normal((4, 8))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    emb_l = EmbeddingBatch(raw, "a")
+    emb_l = EmbeddingBatch(raw)
     raw2 = rng.standard_normal((4, 8))
     raw2 /= np.linalg.norm(raw2, axis=1, keepdims=True)
-    emb_lp = EmbeddingBatch(raw2, "b")
+    emb_lp = EmbeddingBatch(raw2)
     tau = 1.5
     log_z = exact_partition(emb_l, emb_lp, tau).log_z_exact
     weights = fdiv_weights(emb_l.data @ emb_lp.data.T, tau, log_z)

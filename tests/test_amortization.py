@@ -22,10 +22,10 @@ from amorlip.errors import ContractError, DegenerateInputError, DomainError
 from amorlip.numerics import ParamStore, seeded_rng
 
 
-def unit_batch(rng, n, d, modality="a"):
+def unit_batch(rng, n, d):
     raw = rng.standard_normal((n, d))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return EmbeddingBatch(raw, modality)
+    return EmbeddingBatch(raw)
 
 
 def brute_force_log_partition(emb_l, emb_lp, tau, include_positive):
@@ -48,21 +48,21 @@ class TestExactPartition:
     def test_identical_embeddings_give_tau(self):
         row = np.zeros(6)
         row[0] = 1.0
-        emb = EmbeddingBatch(np.tile(row, (5, 1)), "a")
+        emb = EmbeddingBatch(np.tile(row, (5, 1)))
         for tau in (0.5, 3.0, 20.0):
             pe = exact_partition(emb, emb, tau)
             np.testing.assert_allclose(pe.log_z_exact, tau, rtol=1e-13)
 
     def test_two_sample_orthogonal_case(self):
-        emb = EmbeddingBatch(np.eye(2), "a")
-        pe = exact_partition(emb, EmbeddingBatch(np.eye(2), "b"), 1.0, include_positive=True)
+        emb = EmbeddingBatch(np.eye(2))
+        pe = exact_partition(emb, EmbeddingBatch(np.eye(2)), 1.0, include_positive=True)
         expected = math.log((math.e + 1.0) / 2.0)
         assert abs(pe.log_z_exact[0] - expected) < 1e-12
         assert abs(expected - 0.620114507) < 1e-9
 
     def test_two_sample_excluding_positive(self):
-        emb = EmbeddingBatch(np.eye(2), "a")
-        pe = exact_partition(emb, EmbeddingBatch(np.eye(2), "b"), 1.0, include_positive=False)
+        emb = EmbeddingBatch(np.eye(2))
+        pe = exact_partition(emb, EmbeddingBatch(np.eye(2)), 1.0, include_positive=False)
         # only the off-diagonal term survives and its similarity is zero
         np.testing.assert_allclose(pe.log_z_exact, 0.0, atol=1e-15)
 
@@ -73,28 +73,28 @@ class TestExactPartition:
             n = int(rng.integers(2, 17))
             d = int(rng.integers(2, 9))
             tau = float(rng.uniform(0.3, 5.0))
-            emb_l = unit_batch(rng, n, d, "a")
-            emb_lp = unit_batch(rng, n, d, "b")
+            emb_l = unit_batch(rng, n, d)
+            emb_lp = unit_batch(rng, n, d)
             pe = exact_partition(emb_l, emb_lp, tau, include_positive)
             oracle = brute_force_log_partition(emb_l, emb_lp, tau, include_positive)
             np.testing.assert_allclose(pe.log_z_exact, oracle, rtol=1e-12)
 
     def test_values_within_similarity_bounds(self):
         rng = seeded_rng(62)
-        emb_l = unit_batch(rng, 9, 5, "a")
-        emb_lp = unit_batch(rng, 9, 5, "b")
+        emb_l = unit_batch(rng, 9, 5)
+        emb_lp = unit_batch(rng, 9, 5)
         tau = 7.0
         pe = exact_partition(emb_l, emb_lp, tau)
         assert np.all(pe.log_z_exact >= -tau - 1e-9)
         assert np.all(pe.log_z_exact <= tau + 1e-9)
 
     def test_single_sample_without_positive_rejected(self):
-        emb = EmbeddingBatch(np.array([[1.0, 0.0]]), "a")
+        emb = EmbeddingBatch(np.array([[1.0, 0.0]]))
         with pytest.raises(DegenerateInputError):
             exact_partition(emb, emb, 1.0, include_positive=False)
 
     def test_non_positive_tau_rejected(self):
-        emb = EmbeddingBatch(np.eye(2), "a")
+        emb = EmbeddingBatch(np.eye(2))
         with pytest.raises(DomainError):
             exact_partition(emb, emb, 0.0)
 
@@ -112,7 +112,7 @@ class TestAmortizeForward:
         theta = init_amortizer(4, 0.5, "a", (1, 3))
         row = np.zeros(4)
         row[1] = 1.0
-        log_lam, _ = amortize_forward(theta, EmbeddingBatch(np.tile(row, (5, 1)), "a"))
+        log_lam, _ = amortize_forward(theta, EmbeddingBatch(np.tile(row, (5, 1))))
         assert np.all(log_lam == log_lam[0])
 
     def test_hidden_width_from_dimension_factor(self):
@@ -298,8 +298,8 @@ class TestDivergenceGenerators:
 class TestFdivLoss:
     def setup_case(self, n=4, d=6, tau=1.3, seed=91):
         rng = seeded_rng(seed)
-        emb_l = unit_batch(rng, n, d, "a")
-        emb_lp = unit_batch(rng, n, d, "b")
+        emb_l = unit_batch(rng, n, d)
+        emb_lp = unit_batch(rng, n, d)
         sim = emb_l.data @ emb_lp.data.T
         log_z = exact_partition(emb_l, emb_lp, tau).log_z_exact
         weights = fdiv_weights(sim, tau, log_z)

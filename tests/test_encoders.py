@@ -161,22 +161,22 @@ class TestEncoderBackward:
 
 class TestSimilarityMatrix:
     def test_orthonormal_self_similarity_is_identity(self):
-        emb = EmbeddingBatch(np.eye(4), "a")
-        np.testing.assert_allclose(similarity_matrix(emb, EmbeddingBatch(np.eye(4), "b")), np.eye(4))
+        emb = EmbeddingBatch(np.eye(4))
+        np.testing.assert_allclose(similarity_matrix(emb, EmbeddingBatch(np.eye(4))), np.eye(4))
 
     def test_negated_batch_flips_sign(self):
         rng = seeded_rng(51)
         a = rng.standard_normal((5, 6))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
-        ea = EmbeddingBatch(a, "a")
-        s_self = similarity_matrix(ea, EmbeddingBatch(a, "b"))
-        s_neg = similarity_matrix(ea, EmbeddingBatch(-a, "b"))
+        ea = EmbeddingBatch(a)
+        s_self = similarity_matrix(ea, EmbeddingBatch(a))
+        s_neg = similarity_matrix(ea, EmbeddingBatch(-a))
         np.testing.assert_allclose(s_neg, -s_self, atol=1e-15)
 
     def test_two_by_two_against_brute_force(self):
         a = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]])
         b = np.array([[0.0, 1.0], [math.sqrt(0.5), -math.sqrt(0.5)]])
-        s = similarity_matrix(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"))
+        s = similarity_matrix(EmbeddingBatch(a), EmbeddingBatch(b))
         expected = np.array(
             [[sum(a[i][k] * b[j][k] for k in range(2)) for j in range(2)] for i in range(2)]
         )
@@ -188,12 +188,12 @@ class TestSimilarityMatrix:
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = rng.standard_normal((8, 5))
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        s = similarity_matrix(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"))
+        s = similarity_matrix(EmbeddingBatch(a), EmbeddingBatch(b))
         assert np.all(np.abs(s) <= 1.0 + 1e-9)
 
     def test_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            similarity_matrix(EmbeddingBatch(np.eye(3), "a"), EmbeddingBatch(np.eye(4), "b"))
+            similarity_matrix(EmbeddingBatch(np.eye(3)), EmbeddingBatch(np.eye(4)))
 
 
 # Every all-pairs computation, with whether it takes tau and the smallest
@@ -213,15 +213,15 @@ PAIR_CALLERS = [
 @pytest.mark.parametrize("call, takes_tau, min_n", PAIR_CALLERS)
 def test_all_pairs_callers_share_one_check(call, takes_tau, min_n):
     rows = np.eye(4)[:3]
-    ea, eb = EmbeddingBatch(rows, "a"), EmbeddingBatch(rows, "b")
+    ea, eb = EmbeddingBatch(rows), EmbeddingBatch(rows)
     with pytest.raises(ContractError, match=r"^embedding dims differ: 4 vs 3$"):
-        call(ea, EmbeddingBatch(rows[:, :3], "b"), 1.0)
+        call(ea, EmbeddingBatch(rows[:, :3]), 1.0)
     with pytest.raises(ContractError, match=r"^batch sizes differ: 3 vs 2$"):
-        call(ea, EmbeddingBatch(rows[:2], "b"), 1.0)
+        call(ea, EmbeddingBatch(rows[:2]), 1.0)
     if takes_tau:
         with pytest.raises(DomainError, match=r"^tau must be positive, got 0\.0$"):
             call(ea, eb, 0.0)
-    one = EmbeddingBatch(rows[:1], "a"), EmbeddingBatch(rows[:1], "b")
+    one = EmbeddingBatch(rows[:1]), EmbeddingBatch(rows[:1])
     if min_n == 2:
         with pytest.raises(DegenerateInputError, match=r"^batch of 1 below the minimum of 2$"):
             call(*one, 1.0)

@@ -35,7 +35,7 @@ def brute_force_recall(scores, k):
 
 def recall(a, b, k):
     """Recall@k in both directions from the partner ranks evaluate_model uses."""
-    ranks_ab, ranks_ba = _partner_ranks(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"))
+    ranks_ab, ranks_ba = _partner_ranks(EmbeddingBatch(a), EmbeddingBatch(b))
     return float(np.mean(ranks_ab <= k)), float(np.mean(ranks_ba <= k))
 
 
@@ -67,7 +67,7 @@ class TestRecallAtK:
         # rows 0 and 1 of b are identical: query 1 ties and loses at k = 1
         b = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        ranks_ab, _ = _partner_ranks(EmbeddingBatch(a, "a"), EmbeddingBatch(b, "b"))
+        ranks_ab, _ = _partner_ranks(EmbeddingBatch(a), EmbeddingBatch(b))
         assert ranks_ab.tolist() == [1, 2, 1]
         assert recall(a, b, 1)[0] == pytest.approx(2.0 / 3.0)
 
@@ -83,13 +83,13 @@ class TestZeroShot:
     def test_aligned_prototypes_perfect(self):
         protos = np.eye(4)
         labels = np.array([0, 1, 2, 3, 2])
-        emb = EmbeddingBatch(protos[labels], "a")
+        emb = EmbeddingBatch(protos[labels])
         assert zero_shot_accuracy(emb, protos, labels) == 1.0
 
     def test_orthogonal_prototypes_chance_level(self):
         rng = seeded_rng(211)
         n = 4000
-        emb = EmbeddingBatch(unit_rows(rng, n, 8), "a")
+        emb = EmbeddingBatch(unit_rows(rng, n, 8))
         protos = np.zeros((2, 8))
         protos[0, 0] = 1.0
         protos[1, 1] = 1.0
@@ -108,7 +108,7 @@ class TestZeroShot:
                 for i in range(10)
             ]
         )
-        assert zero_shot_accuracy(EmbeddingBatch(emb_data, "a"), protos, labels) == oracle
+        assert zero_shot_accuracy(EmbeddingBatch(emb_data), protos, labels) == oracle
 
     def test_invariant_under_increasing_transform(self):
         # scaling all similarities by a positive temperature keeps the argmax
@@ -116,14 +116,14 @@ class TestZeroShot:
         emb_data = unit_rows(rng, 20, 6)
         protos = unit_rows(rng, 5, 6)
         labels = rng.integers(0, 5, size=20)
-        base = zero_shot_accuracy(EmbeddingBatch(emb_data, "a"), protos, labels)
+        base = zero_shot_accuracy(EmbeddingBatch(emb_data), protos, labels)
         for tau in (0.1, 7.0, 50.0):
-            scaled = zero_shot_accuracy(EmbeddingBatch(emb_data, "a"), protos * tau, labels)
+            scaled = zero_shot_accuracy(EmbeddingBatch(emb_data), protos * tau, labels)
             assert scaled == base
 
     def test_label_out_of_range_rejected(self):
         rng = seeded_rng(214)
-        emb = EmbeddingBatch(unit_rows(rng, 3, 4), "a")
+        emb = EmbeddingBatch(unit_rows(rng, 3, 4))
         with pytest.raises(ContractError):
             zero_shot_accuracy(emb, np.eye(4), np.array([0, 1, 9]))
 
@@ -132,14 +132,14 @@ class TestPrototypes:
     def test_prototypes_unit_norm_and_aligned(self):
         rng = seeded_rng(221)
         protos = class_prototypes(
-            EmbeddingBatch(np.tile(np.eye(3), (4, 1)), "b"),
+            EmbeddingBatch(np.tile(np.eye(3), (4, 1))),
             np.tile(np.arange(3), 4),
             3,
         )
         np.testing.assert_allclose(protos, np.eye(3), atol=1e-12)
 
     def test_absent_class_keeps_zero_prototype(self):
-        emb = EmbeddingBatch(np.eye(2), "b")
+        emb = EmbeddingBatch(np.eye(2))
         protos = class_prototypes(emb, np.array([0, 0]), 3)
         assert np.all(protos[1] == 0.0) and np.all(protos[2] == 0.0)
 

@@ -16,16 +16,16 @@ from amorlip.losses import (
 from amorlip.numerics import seeded_rng
 
 
-def unit_batch(rng, n, d, modality="a"):
+def unit_batch(rng, n, d):
     raw = rng.standard_normal((n, d))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return EmbeddingBatch(raw, modality)
+    return EmbeddingBatch(raw)
 
 
-def identical_batch(n, d, modality="a"):
+def identical_batch(n, d):
     row = np.zeros(d)
     row[0] = 1.0
-    return EmbeddingBatch(np.tile(row, (n, 1)), modality)
+    return EmbeddingBatch(np.tile(row, (n, 1)))
 
 
 def nce_direct_sum(a, b, tau):
@@ -44,12 +44,12 @@ class TestNceLoss:
     @pytest.mark.parametrize("n", [2, 4, 8])
     @pytest.mark.parametrize("tau", [1.0, 10.0, 50.0])
     def test_identical_batch_closed_form(self, n, tau):
-        out = nce_loss(identical_batch(n, 5, "a"), identical_batch(n, 5, "b"), tau)
+        out = nce_loss(identical_batch(n, 5), identical_batch(n, 5), tau)
         assert abs(out.value - 2.0 * math.log(n)) < 1e-9
 
     def test_orthogonal_pair_pattern(self):
-        a = EmbeddingBatch(np.eye(2), "a")
-        b = EmbeddingBatch(np.eye(2), "b")
+        a = EmbeddingBatch(np.eye(2))
+        b = EmbeddingBatch(np.eye(2))
         out = nce_loss(a, b, 1.0)
         expected = -2.0 + 2.0 * math.log(math.e + 1.0)
         assert abs(out.value - expected) < 1e-12
@@ -59,34 +59,34 @@ class TestNceLoss:
         rng = seeded_rng(101)
         for _ in range(5):
             n = int(rng.integers(2, 9))
-            a = unit_batch(rng, n, 6, "a")
-            b = unit_batch(rng, n, 6, "b")
+            a = unit_batch(rng, n, 6)
+            b = unit_batch(rng, n, 6)
             tau = float(rng.uniform(0.5, 5.0))
             out = nce_loss(a, b, tau)
             assert abs(out.value - nce_direct_sum(a.data, b.data, tau)) < 1e-10
 
     def test_invariant_under_joint_permutation(self):
         rng = seeded_rng(102)
-        a = unit_batch(rng, 6, 5, "a")
-        b = unit_batch(rng, 6, 5, "b")
+        a = unit_batch(rng, 6, 5)
+        b = unit_batch(rng, 6, 5)
         perm = rng.permutation(6)
         base = nce_loss(a, b, 2.0).value
         shuffled = nce_loss(
-            EmbeddingBatch(a.data[perm], "a"), EmbeddingBatch(b.data[perm], "b"), 2.0
+            EmbeddingBatch(a.data[perm]), EmbeddingBatch(b.data[perm]), 2.0
         ).value
         assert abs(base - shuffled) < 1e-12
 
     def test_single_pair_rejected(self):
         with pytest.raises(DegenerateInputError):
-            nce_loss(identical_batch(1, 4, "a"), identical_batch(1, 4, "b"), 1.0)
+            nce_loss(identical_batch(1, 4), identical_batch(1, 4), 1.0)
 
 
 class TestAmortizedMleLoss:
     def test_exact_partition_gives_second_term_two(self):
         rng = seeded_rng(111)
         for tau in (0.7, 3.0):
-            a = unit_batch(rng, 5, 6, "a")
-            b = unit_batch(rng, 5, 6, "b")
+            a = unit_batch(rng, 5, 6)
+            b = unit_batch(rng, 5, 6)
             lz_a = exact_partition(a, b, tau).log_z_exact
             lz_b = exact_partition(b, a, tau).log_z_exact
             out = amortized_mle_loss(a, b, tau, lz_a, lz_b)
@@ -95,8 +95,8 @@ class TestAmortizedMleLoss:
 
     def test_identical_batch_with_scale_matched_lambda(self):
         tau = 2.5
-        a = identical_batch(4, 5, "a")
-        b = identical_batch(4, 5, "b")
+        a = identical_batch(4, 5)
+        b = identical_batch(4, 5)
         log_lam = np.full(4, tau)
         out = amortized_mle_loss(a, b, tau, log_lam, log_lam)
         assert abs(out.value - (-2.0 * tau + 2.0)) < 1e-12
@@ -105,8 +105,8 @@ class TestAmortizedMleLoss:
         # the double sum can be evaluated pair by pair and reassembled
         rng = seeded_rng(112)
         n, tau = 6, 1.7
-        a = unit_batch(rng, n, 4, "a")
-        b = unit_batch(rng, n, 4, "b")
+        a = unit_batch(rng, n, 4)
+        b = unit_batch(rng, n, 4)
         la = rng.standard_normal(n)
         lb = rng.standard_normal(n)
         out = amortized_mle_loss(a, b, tau, la, lb)
@@ -120,8 +120,8 @@ class TestAmortizedMleLoss:
         assert abs(out.value - acc) < 1e-12
 
     def test_overflow_reports_pair(self):
-        a = identical_batch(3, 4, "a")
-        b = identical_batch(3, 4, "b")
+        a = identical_batch(3, 4)
+        b = identical_batch(3, 4)
         log_lam = np.array([0.0, -800.0, 0.0])
         with pytest.raises(DomainError, match=r"\(1, 0\)"):
             amortized_mle_loss(a, b, 1.0, log_lam, np.zeros(3))
@@ -131,27 +131,27 @@ class TestGradientEquivalence:
     def test_random_batches_tau_one(self):
         rng = seeded_rng(121)
         for _ in range(5):
-            a = unit_batch(rng, 4, 8, "a")
-            b = unit_batch(rng, 4, 8, "b")
+            a = unit_batch(rng, 4, 8)
+            b = unit_batch(rng, 4, 8)
             assert mle_gradient_equivalence_check(a, b, 1.0) < 1e-10
 
     def test_identical_embeddings(self):
-        a = identical_batch(4, 8, "a")
-        b = identical_batch(4, 8, "b")
+        a = identical_batch(4, 8)
+        b = identical_batch(4, 8)
         assert mle_gradient_equivalence_check(a, b, 1.0) < 1e-10
 
     def test_large_temperature_looser(self):
         rng = seeded_rng(122)
-        a = unit_batch(rng, 8, 8, "a")
-        b = unit_batch(rng, 8, 8, "b")
+        a = unit_batch(rng, 8, 8)
+        b = unit_batch(rng, 8, 8)
         assert mle_gradient_equivalence_check(a, b, 10.0) < 1e-8
 
 
 class TestTemperatureRescale:
     def test_scales_value_and_gradients(self):
         rng = seeded_rng(131)
-        a = unit_batch(rng, 4, 5, "a")
-        b = unit_batch(rng, 4, 5, "b")
+        a = unit_batch(rng, 4, 5)
+        b = unit_batch(rng, 4, 5)
         tau = 4.0
         raw = nce_loss(a, b, tau)
         out = temperature_rescale(raw, tau, rho=0.0)
@@ -160,14 +160,14 @@ class TestTemperatureRescale:
         np.testing.assert_allclose(out.grad_b, raw.grad_b / tau)
 
     def test_regularizer_arithmetic(self):
-        raw = nce_loss(identical_batch(2, 4, "a"), identical_batch(2, 4, "b"), 13.0)
+        raw = nce_loss(identical_batch(2, 4), identical_batch(2, 4), 13.0)
         zeroed = type(raw)(value=0.0, grad_a=raw.grad_a * 0, grad_b=raw.grad_b * 0, tau_grad=0.0)
         out = temperature_rescale(zeroed, 13.0, rho=6.5)
         assert abs(out.value - 0.5) < 1e-15
         assert abs(out.tau_grad - (-6.5 / 169.0)) < 1e-15
 
     def test_non_positive_tau_rejected(self):
-        raw = nce_loss(identical_batch(2, 4, "a"), identical_batch(2, 4, "b"), 1.0)
+        raw = nce_loss(identical_batch(2, 4), identical_batch(2, 4), 1.0)
         with pytest.raises(DomainError):
             temperature_rescale(raw, 0.0, 1.0)
 

@@ -79,7 +79,7 @@ class TestKernelEstimate:
         est = kernel_estimate(*pair_with_similarity(2, 0.5), fmap)
         assert math.isfinite(est.value) and est.stderr == math.inf
         (part,) = partition_estimate_mc(
-            np.array([[1.0, 0.0]]), EmbeddingBatch(np.array([[0.0, 1.0]]), "b"), fmap
+            np.array([[1.0, 0.0]]), EmbeddingBatch(np.array([[0.0, 1.0]])), fmap
         )
         assert part.stderr == math.inf
         # identical inputs are still answered exactly, without a projection
@@ -102,7 +102,7 @@ class TestPartitionEstimate:
         fmap = sample_features(256, 4, 2.0, seed=31)
         u = np.zeros(4)
         u[1] = 1.0
-        others = EmbeddingBatch(u[None, :].copy(), "b")
+        others = EmbeddingBatch(u[None, :].copy())
         [est] = partition_estimate_mc(u[None, :], others, fmap)
         assert est.value == pytest.approx(math.exp(2.0), rel=1e-13)
 
@@ -110,7 +110,7 @@ class TestPartitionEstimate:
         fmap = sample_features(256, 4, 2.0, seed=32)
         u = np.zeros(4)
         u[1] = 1.0
-        others = EmbeddingBatch(np.tile(u, (7, 1)), "b")
+        others = EmbeddingBatch(np.tile(u, (7, 1)))
         [est] = partition_estimate_mc(u[None, :], others, fmap)
         assert est.value == pytest.approx(math.exp(2.0), rel=1e-13)
 
@@ -119,7 +119,7 @@ class TestPartitionEstimate:
         fmap = sample_features(4000, 5, 1.5, seed=34)
         raw = rng.standard_normal((6, 5))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        others = EmbeddingBatch(raw, "b")
+        others = EmbeddingBatch(raw)
         u, _ = pair_with_similarity(5, 1.0)
         [combined] = partition_estimate_mc(u[None, :], others, fmap)
         per_ref = [kernel_estimate(u, raw[j], fmap).value for j in range(6)]
@@ -132,8 +132,8 @@ class TestPartitionEstimate:
         raw_q /= np.linalg.norm(raw_q, axis=1, keepdims=True)
         raw_r = rng.standard_normal((8, 4))
         raw_r /= np.linalg.norm(raw_r, axis=1, keepdims=True)
-        queries = EmbeddingBatch(raw_q, "a")
-        refs = EmbeddingBatch(raw_r, "b")
+        queries = EmbeddingBatch(raw_q)
+        refs = EmbeddingBatch(raw_r)
         pe = exact_partition(queries, refs, tau)
         fmap = sample_features(m, 4, tau, seed=36)
         estimates = partition_estimate_mc(queries.data, refs, fmap)
@@ -144,14 +144,14 @@ class TestPartitionEstimate:
     def test_non_unit_reference_rejected(self):
         fmap = sample_features(16, 3, 1.0, seed=37)
         u = np.array([1.0, 0.0, 0.0])
-        bad = EmbeddingBatch(np.array([[0.5, 0.5, 0.0]]), "b")
+        bad = EmbeddingBatch(np.array([[0.5, 0.5, 0.0]]))
         with pytest.raises(ContractError):
             partition_estimate_mc(u[None, :], bad, fmap)
 
     def test_queries_must_be_unit_rows(self):
         fmap = sample_features(16, 3, 1.0, seed=38)
         u = np.array([1.0, 0.0, 0.0])
-        others = EmbeddingBatch(u[None, :].copy(), "b")
+        others = EmbeddingBatch(u[None, :].copy())
         with pytest.raises(ContractError, match="query row 1"):
             partition_estimate_mc(np.array([u, [0.5, 0.5, 0.0]]), others, fmap)
         with pytest.raises(ContractError, match=r"\(k, d\) array"):
@@ -303,7 +303,7 @@ class TestBitIdentity:
     def test_partition(self, m, n):
         fmap = sample_features(m, 4, 1.0, seed=54)
         queries, refs = unit_rows(55, 8, 4), unit_rows(56, n, 4)
-        estimates = partition_estimate_mc(queries, EmbeddingBatch(refs, "b"), fmap)
+        estimates = partition_estimate_mc(queries, EmbeddingBatch(refs), fmap)
         assert estimates == [reference_partition(u, refs, fmap) for u in queries]
 
 
@@ -331,7 +331,7 @@ class TestMemory:
     def test_partition_estimate_holds_four_feature_vectors(self):
         m = 200_000
         fmap = sample_features(m, 4, 1.0, seed=62)
-        queries, refs = unit_rows(63, 8, 4), EmbeddingBatch(unit_rows(64, 8, 4), "b")
+        queries, refs = unit_rows(63, 8, 4), EmbeddingBatch(unit_rows(64, 8, 4))
         estimates, peak = traced_peak(lambda: partition_estimate_mc(queries, refs, fmap))
         assert len(estimates) == 8
         assert peak <= 4 * m * 8 + MIB
