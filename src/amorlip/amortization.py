@@ -62,8 +62,6 @@ class AmortizeCache:
 
 def amortize_forward(theta: Mlp, emb: EmbeddingBatch):
     """Per-sample log(lambda) predictions. Returns (vector of length n, cache)."""
-    if emb.dim != theta.dims[0]:
-        raise ContractError(f"amortizer expects embedding dim {theta.dims[0]}, got {emb.dim}")
     out, acts = theta.forward(emb.data)
     log_lam = out.ravel()
     if not np.isfinite(log_lam).all():

@@ -22,12 +22,11 @@ class Temperature:
     """Learnable scalar temperature stored as log(tau) with an upper clamp.
 
     The exposed value is exp(log_tau) clamped to (0, tau_max]; clamp() is
-    applied by the trainer after every optimizer step.
+    applied by the trainer after every optimizer step. Both temperatures
+    come from a TrainConfig, which checks them with losses.usable_tau.
     """
 
     def __init__(self, init_tau: float, tau_max: float):
-        if init_tau <= 0 or tau_max <= 0:
-            raise DomainError(f"temperatures must be positive, got init {init_tau}, max {tau_max}")
         self.block = ParamBlock("temperature/log_tau", np.array([[math.log(init_tau)]]))
         self.tau_max = float(tau_max)
 
@@ -116,17 +115,14 @@ class EncodeCache:
 def encode(params: EncoderParams, inputs, modality: str):
     """Map raw inputs to unit-norm embeddings. Returns (EmbeddingBatch, cache).
 
-    Pure function of (params, inputs): repeated calls agree bitwise.
+    Pure function of (params, inputs): repeated calls agree bitwise. The
+    network checks the input's shape, so the row count is checked on its
+    output.
     """
     net = params.net(modality)
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.dims[0]:
-        raise ContractError(
-            f"modality {modality!r} expects input dim {net.dims[0]}, got shape {x.shape}"
-        )
-    if x.shape[0] < 1:
+    raw, acts = net.forward(inputs)
+    if raw.shape[0] < 1:
         raise ContractError("encode requires at least one row")
-    raw, acts = net.forward(x)
     emb, norm_backward = l2_normalize_rows(raw)
     cache = EncodeCache(net=net, acts=acts, norm_backward=norm_backward)
     return EmbeddingBatch(emb), cache
@@ -138,11 +134,7 @@ def encoder_backward(cache: EncodeCache, upstream) -> None:
     Gradients accumulate additively; the gradient on the raw inputs is not
     formed.
     """
-    g = np.asarray(upstream, dtype=np.float64)
-    # the raw output has the embedding's shape: normalization keeps it
-    if g.shape != cache.acts[-1].shape:
-        raise ContractError(f"upstream shape {g.shape} != embedding shape {cache.acts[-1].shape}")
-    cache.net.backward(cache.acts, cache.norm_backward(g))
+    cache.net.backward(cache.acts, cache.norm_backward(upstream))
 
 
 def similarity_matrix(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch) -> Array:

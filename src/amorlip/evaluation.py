@@ -106,7 +106,7 @@ def _embed_slice(model, ds_slice: PairedDataset) -> dict[str, EmbeddingBatch]:
     emb = {}
     for m in MODALITIES:
         batch = ds_slice.mod_a if m == "a" else ds_slice.mod_b
-        emb[m], _ = encode(model.encoders, batch.astype(np.float64), m)
+        emb[m], _ = encode(model.encoders, batch, m)
     return emb
 
 

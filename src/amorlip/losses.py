@@ -12,6 +12,7 @@ Sign and scale conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,14 @@ def mle_gradient_equivalence_check(
     )
 
 
+def usable_tau(tau: float) -> bool:
+    """Whether tau has a finite, non-zero square and inverse square: the
+    rescaled loss divides by tau and its tau gradient by tau^2, and
+    Temperature has no lower clamp to keep either finite."""
+    square = tau * tau
+    return 0.0 < square < math.inf and 0.0 < 1.0 / square < math.inf
+
+
 def temperature_rescale(raw: LossOutput, tau: float, rho: float) -> LossOutput:
     """loss / stop_grad(tau) + rho / tau.
 
@@ -161,6 +170,8 @@ def temperature_rescale(raw: LossOutput, tau: float, rho: float) -> LossOutput:
     """
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
+    if not usable_tau(tau):
+        raise DomainError(f"tau must have a finite, non-zero square and inverse square, got {tau:.3g}")
     return LossOutput(
         value=raw.value / tau + rho / tau,
         grad_a=raw.grad_a / tau,

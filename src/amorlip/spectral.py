@@ -102,14 +102,6 @@ def sample_features(
     return RandomFeatureMap(omegas=draw.T, tau=float(tau))
 
 
-def _check_unit(u: Array, what: str) -> Array:
-    u = np.asarray(u, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise ContractError(f"{what} must be unit-norm, got ||.|| = {norm:.12f}")
-    return u
-
-
 def _check_unit_rows(x: Array, what: str) -> None:
     norms = np.linalg.norm(x, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_TOL):
@@ -140,10 +132,10 @@ def _estimate_from_samples(per_feature: Array, scale: float) -> KernelEstimate:
 
 def _check_pair(u1, u2, fmap: RandomFeatureMap) -> tuple[Array, Array]:
     """u1 and u2 as flat float64 unit vectors of the feature map's dim."""
-    u1 = _check_unit(u1, "u1")
-    u2 = _check_unit(u2, "u2")
+    u1, u2 = (np.asarray(u, dtype=np.float64).ravel() for u in (u1, u2))
     if u1.shape[0] != fmap.dim or u2.shape[0] != fmap.dim:
         raise ContractError(f"vectors of dim {u1.shape[0]} do not match feature dim {fmap.dim}")
+    _check_unit_rows(np.stack([u1, u2]), "pair (u1, u2)")
     return u1, u2
 
 

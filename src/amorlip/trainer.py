@@ -54,7 +54,7 @@ from .encoders import (
 )
 from .errors import ConfigError, ContractError, DomainError, FormatError, TrainingDivergence
 from .evaluation import partition_gap_stats
-from .losses import amortized_mle_loss, nce_loss, rho_at, temperature_rescale
+from .losses import amortized_mle_loss, nce_loss, rho_at, temperature_rescale, usable_tau
 from .net import Mlp
 from .numerics import AdamW, Array, ParamStore
 
@@ -186,11 +186,8 @@ class TrainConfig:
         if self.tau_init <= 0 or self.tau_max <= 0:
             raise ConfigError("temperatures must be positive")
         for key in ("tau_init", "tau_max"):
-            # the rescaled loss divides by tau and its tau gradient by tau^2,
-            # and Temperature has no lower clamp to keep either finite
             tau = float(getattr(self, key))
-            square = tau * tau
-            if not (0.0 < square < math.inf and 0.0 < 1.0 / square < math.inf):
+            if not usable_tau(tau):
                 raise ConfigError(
                     f"config key {key!r} must have a finite, non-zero square and inverse square,"
                     f" got {tau!r}"
@@ -449,10 +446,11 @@ def run_training(
     the trajectory does not depend on what is logged.
 
     A non-finite loss, or a DomainError anywhere in a step (an overflowing
-    optimizer step, divergence weight or amortizer output), ends the run
-    with a TrainingDivergence carrying the step's snapshot; these checks,
-    not numpy warnings, report non-finite values. For "amorlip", t_online
-    and t_target above the steps per epoch are a ConfigError.
+    optimizer step, divergence weight or amortizer output, or a tau whose
+    square underflows), ends the run with a TrainingDivergence carrying the
+    step's record; these checks, not numpy warnings, report non-finite
+    values. For "amorlip", t_online and t_target above the steps per epoch
+    are a ConfigError.
     """
     amortized = cfg.method == "amorlip"
     train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
@@ -474,14 +472,14 @@ def run_training(
     def diverged(message: str) -> TrainingDivergence:
         # reads the failing step's locals; a step that did not log the gap
         # computes it here, or null where it cannot (tau of 0, say)
-        if amortized and snapshot.get("median_abs_log_z_err") is None:
+        if amortized and record["median_abs_log_z_err"] is None:
             try:
                 exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
                 lam = log_lam or _target_log_lam(state, emb)
-                snapshot["median_abs_log_z_err"] = partition_gap_stats(lam, exact)[0]
+                record["median_abs_log_z_err"] = partition_gap_stats(lam, exact)[0]
             except DomainError:
-                snapshot["median_abs_log_z_err"] = None
-        return TrainingDivergence(message, snapshot)
+                pass
+        return TrainingDivergence(message, record)
 
     with np.errstate(all="ignore"):
         for step, epoch, k, idx in _steps(train_ds.n, cfg, state.global_step + 1, stop):
@@ -491,10 +489,14 @@ def run_training(
             beta_t = beta_schedule(epoch, cfg.epochs, cfg.beta_final) if amortized else None
             rho = rho_at(epoch, cfg.epochs, cfg.rho_main, cfg.rho_anneal, cfg.anneal_start_fraction)
             tau = state.temperature.tau
+            # the step's one record, in metrics order; tau is the value the
+            # losses use (pre-update), and a field not yet reached is None
+            record = dict(step=step, epoch=epoch, stage2_loss_raw=None, stage2_loss_rescaled=None,
+                          amor_loss=None, tau=tau, beta_t=beta_t, rho=rho,
+                          median_abs_log_z_err=None, gather_count=None)
             emb, caches = _embed(state, train_ds, idx)
             logged = metrics is not None and (step in (1, total_steps) or step % cfg.log_every == 0)
-            snapshot = {"step": step, "epoch": epoch, "tau": tau}
-            amor_loss = median_err = log_z = log_lam = None
+            log_z = log_lam = None
             try:
                 if amortized:
                     amortizing = k % cfg.t_online == 0
@@ -502,20 +504,22 @@ def run_training(
                     if amortizing or logged:
                         log_z = _exact_log_z(emb, tau, cfg.include_positive)
                     if amortizing:
-                        amor_loss = _amortization_stage(state, emb, log_z, tau, beta_t)
+                        record["amor_loss"] = _amortization_stage(state, emb, log_z, tau, beta_t)
                         state.gather_count += 1
                     if k % cfg.t_target == 0:
                         ema_update(state.ema_store, state.opt_amortizer.store, cfg.alpha)
                     log_lam = _target_log_lam(state, emb)
-                    median_err = partition_gap_stats(log_lam, log_z)[0] if logged else None
-                    snapshot.update(amor_loss=amor_loss, median_abs_log_z_err=median_err)
+                    if logged:
+                        record["median_abs_log_z_err"] = partition_gap_stats(log_lam, log_z)[0]
                     raw = amortized_mle_loss(emb["a"], emb["b"], tau, log_lam["a"], log_lam["b"])
                 else:
                     state.gather_count += 1
                     raw = nce_loss(emb["a"], emb["b"], tau)
+                record.update(stage2_loss_raw=raw.value, gather_count=state.gather_count)
                 rescaled = temperature_rescale(raw, tau, rho)
-                snapshot.update(stage2_loss_raw=raw.value, stage2_loss_rescaled=rescaled.value)
-                for value, what in ((raw.value, "stage-II loss"), (amor_loss, "amortization loss")):
+                record["stage2_loss_rescaled"] = rescaled.value
+                losses = ((raw.value, "stage-II loss"), (record["amor_loss"], "amortization loss"))
+                for value, what in losses:
                     if value is not None and not math.isfinite(value):
                         raise diverged(f"non-finite {what} at step {step}")
 
@@ -530,23 +534,9 @@ def run_training(
             state.temperature.clamp()
 
             if logged:
-                # tau is the value the step's losses used (pre-update), so every
-                # field except wall_ms is a pure function of the step
-                metrics.emit(
-                    {
-                        "step": step,
-                        "epoch": epoch,
-                        "stage2_loss_raw": raw.value,
-                        "stage2_loss_rescaled": rescaled.value,
-                        "amor_loss": amor_loss,
-                        "tau": tau,
-                        "beta_t": beta_t,
-                        "rho": rho,
-                        "median_abs_log_z_err": median_err,
-                        "gather_count": state.gather_count,
-                        "wall_ms": int((time.perf_counter() - wall_start) * 1000.0),
-                    }
-                )
+                # the divergence snapshot is the same record without wall_ms
+                record["wall_ms"] = int((time.perf_counter() - wall_start) * 1000.0)
+                metrics.emit(record)
     return state
 
 

@@ -10,7 +10,7 @@ passes only if every check passes. All randomness is seeded.
 from __future__ import annotations
 
 import math
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -240,36 +240,38 @@ def _coverage_flags(
     """For each (tau, seed) trial, in order, whether each similarity's
     kernel estimate lies within 3 standard errors of exp(tau * s).
 
-    A pool of two worker threads runs the trials; numpy's normal draw and
-    cos release the GIL, so the two run on two cores. Each trial borrows
-    one of two slots, a (2, M) frequency buffer and an M-vector projection,
+    Two worker threads each run every other trial; numpy's normal draw and
+    cos release the GIL, so the two run on two cores. Each worker draws into
+    its own slot, a (2, M) frequency buffer and an M-vector projection,
     allocated here by the calling thread, so no feature-length memory lands
     in a second malloc arena. A trial's figures do not depend on the slot
-    or thread that runs it. The first error is raised here, and the trials
-    not yet started are cancelled."""
+    or thread that runs it. An error in either worker stops both at their
+    next trial, and is raised here."""
     check_sizes(m_features, 2)
-    slots = queue.SimpleQueue()
-    for _ in range(2):
-        slots.put((np.empty((2, m_features)), np.empty(m_features)))
+    slots = [(np.empty((2, m_features)), np.empty(m_features)) for _ in range(2)]
+    flags: list[list[bool]] = [[] for _ in jobs]
+    failed = threading.Event()
 
-    def trial(job: tuple[float, int]) -> list[bool]:
-        tau, seed = job
-        omegas, work = slot = slots.get()
+    def worker(first: int) -> None:
+        omegas, work = slots[first]
         try:
-            fmap = sample_features(m_features, 2, tau, seed, out=omegas)
-            flags = []
-            for s in sims:
-                est = kernel_estimate(*_pair_with_similarity(s), fmap, work=work)
-                flags.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
-            return flags
-        finally:
-            slots.put(slot)
+            for i in range(first, len(jobs), 2):
+                if failed.is_set():
+                    return
+                tau, seed = jobs[i]
+                fmap = sample_features(m_features, 2, tau, seed, out=omegas)
+                for s in sims:
+                    est = kernel_estimate(*_pair_with_similarity(s), fmap, work=work)
+                    flags[i].append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
+        except BaseException:
+            failed.set()
+            raise
 
-    pool = ThreadPoolExecutor(2, thread_name_prefix="spectral-coverage")
-    try:
-        return list(pool.map(trial, jobs))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(2, thread_name_prefix="spectral-coverage") as pool:
+        workers = [pool.submit(worker, first) for first in range(2)]
+    for done in workers:
+        done.result()
+    return flags
 
 
 def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:

@@ -85,6 +85,11 @@ def write_data(path):
     save_dataset(generate_synthetic(300, 4, 10, 9, 0.05, seed=11), path)
 
 
+def write_other_data(path):
+    """The data of `gen-data --n 300 --classes 4 --dim-a 6 --dim-b 5 --seed 5`."""
+    save_dataset(generate_synthetic(300, 4, 6, 5, 0.05, seed=5), path)
+
+
 def drop_blocks(prefix):
     def edit(blocks):
         for name in [name for name in blocks if name.startswith(prefix)]:
@@ -649,23 +654,28 @@ FAILURES = [
                "amorlip: training diverged: "
                "optimizer step 13 is not finite (overflow encountered in multiply)",
                {"step": 13, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": ANY,
-                "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY}),
+                "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY, "beta_t": 0.8, "rho": -8.0,
+                "gather_count": 1}),
     # step 1 drives log(tau) to -1e200: step 2 reads tau as 0.0, and the
     # snapshot's gap, which needs a positive tau, is null
     config_row("train-diverged-at-tau-0", {"lr_encoder": 1e200, "batch_size": 16, "epochs": 1}, 2,
                "amorlip: training diverged: tau must be positive, got 0.0",
                {"step": 2, "epoch": 1, "tau": 0.0, "amor_loss": None,
-                "median_abs_log_z_err": None}),
+                "median_abs_log_z_err": None, "stage2_loss_raw": None,
+                "stage2_loss_rescaled": None, "beta_t": 0.8, "rho": -8.0, "gather_count": None}),
     # overflowing steps end in a divergence, with no numpy warning on stderr
     config_row("train-huge-lr_amortizer", {"lr_amortizer": 1e200, "batch_size": 16, "epochs": 1}, 2,
                "amorlip: training diverged: "
                "optimizer step 2 is not finite (overflow encountered in multiply)",
-               {"step": 8, "epoch": 1, "tau": ANY, "median_abs_log_z_err": ANY}),
+               {"step": 8, "epoch": 1, "tau": ANY, "median_abs_log_z_err": ANY, "amor_loss": None,
+                "stage2_loss_raw": None, "stage2_loss_rescaled": None, "beta_t": 0.8, "rho": -8.0,
+                "gather_count": None}),
     config_row("train-huge-weight_decay", {"weight_decay": 1e200, "batch_size": 16, "epochs": 1}, 2,
                "amorlip: training diverged: "
                "optimizer step 2 is not finite (overflow encountered in multiply)",
                {"step": 2, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": ANY,
-                "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY}),
+                "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY, "beta_t": 0.8, "rho": -8.0,
+                "gather_count": 0}),
     # a checkpoint packs layer widths as u32; a width below that may still not fit in memory
     config_row("config-f_d-width-beyond-u32", {"f_d": 1e200, "batch_size": 16, "epochs": 1},
                "amorlip: config key 'f_d' gives a layer width of 3.2e+201, but a checkpoint"
@@ -675,6 +685,21 @@ FAILURES = [
                {"f_d": 1e6, "embed_dim": 1, "batch_size": 16, "epochs": 1},
                "amorlip: out of memory: Unable to allocate 7.28 TiB for an array with shape"
                " (1000000, 1000000) and data type float64"),
+    # on other data, the encoder step drives tau below 1.5e-162, where its
+    # square underflows: the rescaled loss cannot divide by it
+    *[row(f"train-tau-square-underflow-{method}",
+          f"train --data {{tmp}}/other.apds --method {method} --config {{tmp}}/c.json", 2,
+          "amorlip: training diverged: tau must have a finite, non-zero square and inverse square,"
+          " got 1.15e-174",
+          {"step": 7, "epoch": 1, "stage2_loss_raw": ANY, "stage2_loss_rescaled": None,
+           "amor_loss": None, "tau": ANY, "rho": -8.0, **snapshot},
+          files={"other.apds": write_other_data,
+                 "c.json": json.dumps({"epochs": 1, "batch_size": 16, "t_online": 2,
+                                       "lr_encoder": 100})})
+      for method, snapshot in [
+          ("amorlip", {"beta_t": 0.8, "median_abs_log_z_err": ANY, "gather_count": 3}),
+          ("clip", {"beta_t": None, "median_abs_log_z_err": None, "gather_count": 7}),
+      ]],
     # eval
     row("eval-missing-checkpoint",
         f"eval --data {DATA} --checkpoint {{tmp}}/no.ckpt --report {{tmp}}/r.json", 3,
@@ -725,6 +750,11 @@ FAILURES = [
              "amorlip: config key 'encoder_hidden' gives a layer width of 1e+12, but a checkpoint"
              " stores widths below 2**32",
              fresh_checkpoint(set_block("cfg/encoder_hidden", 1e12))),
+    # the encoder checks its input shape
+    row("eval-other-input-dims",
+        "eval --data {tmp}/other.apds --checkpoint {tmp}/c.ckpt --report {tmp}/r.json", 1,
+        "amorlip: encoder_a: input shape (30, 6) incompatible with dim 10",
+        files={"other.apds": write_other_data, "c.ckpt": fresh_checkpoint()}, absent=("r.json",)),
     # verify: a failing check exits 2 with its JSON on stdout and nothing on stderr
     row("verify-spectral-10-features", "verify spectral --features 10", 2),
     row("verify-spectral-1-feature", "verify spectral --features 1", 2),

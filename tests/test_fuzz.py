@@ -1,23 +1,29 @@
 """Byte-mutation fuzz of the two file formats: every mutation of a valid
 APDS1 dataset or AMCK1 checkpoint is either rejected with a typed error or
-loads into something valid, never an untyped exception."""
+loads into something valid, never an untyped exception. A property test over
+configs holds training and evaluation to the same rule."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from amorlip.data import MAGIC, generate_synthetic, load_dataset, save_dataset
+from amorlip.data import MAGIC, generate_synthetic, load_dataset, save_dataset, split_eval
 from amorlip.errors import AmorlipError, FormatError
+from amorlip.evaluation import evaluate_model
 from amorlip.trainer import (
     CKPT_MAGIC,
+    CONFIG_CHOICES,
     TrainConfig,
     checkpoint_load_blocks,
     checkpoint_save,
     init_train_state,
+    MetricsWriter,
     load_eval_model,
+    run_training,
 )
 
 FUZZ = settings(
@@ -125,6 +131,55 @@ def test_amck1_mutations_rejected_or_valid(files):
                 assert np.all(np.isfinite(value))
         try:
             load_eval_model(path)
+        except AmorlipError:
+            pass
+
+    check()
+
+
+# Numbers at the edges of float64 (a zero, the subnormal extremes, values
+# whose square or exp underflows or overflows) and small integers; an int
+# field draws only the integers. The fields that set a layer's width or the
+# amortizer's inner iterations take only the small integers, which keeps
+# every example to milliseconds: 20 steps at a width of 2,840 take seconds.
+SMALL = st.integers(-1, 4)
+EDGES = [0, 5e-324, -5e-324, 1e-300, 1e-160, 700, 710, 1e200, 1e308]
+COSTLY = {"embed_dim", "encoder_hidden", "encoder_depth", "f_d", "t_lambda"}
+NUMERIC = {
+    f.name: type(f.default)
+    for f in dataclasses.fields(TrainConfig)
+    if f.name not in CONFIG_CHOICES
+}
+# 16 steps per epoch on the 270 training samples
+BASE = dict(epochs=1, batch_size=16, embed_dim=4, encoder_hidden=4, encoder_depth=1,
+            t_online=2, log_every=5, seed=5)
+
+
+@st.composite
+def configs(draw) -> dict:
+    values = dict(BASE)
+    for key in draw(st.lists(st.sampled_from(sorted(NUMERIC)), min_size=1, max_size=3, unique=True)):
+        edges = [x for x in EDGES if NUMERIC[key] is float or isinstance(x, int)]
+        values[key] = draw(SMALL if key in COSTLY else st.one_of(st.sampled_from(edges), SMALL))
+    for key, choices in CONFIG_CHOICES.items():
+        values[key] = draw(st.sampled_from(choices))
+    return values
+
+
+@pytest.mark.filterwarnings("error")
+def test_configs_train_and_evaluate_or_fail_typed():
+    ds = generate_synthetic(300, 4, 6, 5, 0.05, seed=5)
+
+    @settings(FUZZ, max_examples=100)
+    @given(configs())
+    # a learning rate that leaves tau positive, with a square that underflows
+    @example(dict(BASE, lr_encoder=700, method="clip", objective="l2log", generator="kl",
+                  include_positive=True))
+    def check(values: dict):
+        try:
+            cfg = TrainConfig.from_dict(values)
+            state = run_training(cfg, ds, MetricsWriter(), max_steps=20)
+            evaluate_model(state, split_eval(ds, cfg.eval_fraction, cfg.seed)[1])
         except AmorlipError:
             pass
 
