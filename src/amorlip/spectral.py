@@ -134,7 +134,9 @@ def _check_pair(u1, u2, fmap: RandomFeatureMap) -> tuple[Array, Array]:
     """u1 and u2 as flat float64 unit vectors of the feature map's dim."""
     u1, u2 = (np.asarray(u, dtype=np.float64).ravel() for u in (u1, u2))
     if u1.shape[0] != fmap.dim or u2.shape[0] != fmap.dim:
-        raise ContractError(f"vectors of dim {u1.shape[0]} do not match feature dim {fmap.dim}")
+        raise ContractError(
+            f"vectors of dims {u1.shape[0]}/{u2.shape[0]} do not match feature dim {fmap.dim}"
+        )
     _check_unit_rows(np.stack([u1, u2]), "pair (u1, u2)")
     return u1, u2
 

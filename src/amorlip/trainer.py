@@ -445,12 +445,12 @@ def run_training(
     so the snapshot carries it). None of it feeds the stage-II update, so
     the trajectory does not depend on what is logged.
 
-    A non-finite loss, or a DomainError anywhere in a step (an overflowing
-    optimizer step, divergence weight or amortizer output, or a tau whose
-    square underflows), ends the run with a TrainingDivergence carrying the
-    step's record; these checks, not numpy warnings, report non-finite
-    values. For "amorlip", t_online and t_target above the steps per epoch
-    are a ConfigError.
+    A non-finite loss, a DomainError anywhere in a step (an overflowing
+    optimizer step, divergence weight or amortizer output), or an update
+    that leaves tau failing usable_tau ends the run with a
+    TrainingDivergence carrying the step's record; these checks, not numpy
+    warnings, report non-finite values. For "amorlip", t_online and
+    t_target above the steps per epoch are a ConfigError.
     """
     amortized = cfg.method == "amorlip"
     train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
@@ -471,7 +471,7 @@ def run_training(
 
     def diverged(message: str) -> TrainingDivergence:
         # reads the failing step's locals; a step that did not log the gap
-        # computes it here, or null where it cannot (tau of 0, say)
+        # computes it here, or null where it cannot
         if amortized and record["median_abs_log_z_err"] is None:
             try:
                 exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
@@ -532,6 +532,11 @@ def run_training(
                 # a numerical failure anywhere in the step, an optimizer overflow included
                 raise diverged(str(exc)) from exc
             state.temperature.clamp()
+            if not usable_tau(state.temperature.tau):
+                raise diverged(
+                    "tau must have a finite, non-zero square and inverse square,"
+                    f" got {state.temperature.tau:.3g} after the update at step {step}"
+                )
 
             if logged:
                 # the divergence snapshot is the same record without wall_ms

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -235,34 +236,36 @@ def _pair_with_similarity(s: float) -> tuple[Array, Array]:
 
 
 def _coverage_flags(
-    jobs: list[tuple[float, int]], sims: tuple[float, ...], m_features: int
-) -> list[list[bool]]:
-    """For each (tau, seed) trial, in order, whether each similarity's
-    kernel estimate lies within 3 standard errors of exp(tau * s).
+    seeds: list[int], taus: tuple[float, ...], sims: tuple[float, ...], m_features: int
+) -> list[list[list[bool]]]:
+    """For each seed, in order, and each tau, whether each similarity's
+    kernel estimate lies within 3 standard errors of exp(tau * s). The draw
+    does not depend on tau, so each seed is drawn once and read at every tau.
 
-    Two worker threads each run every other trial; numpy's normal draw and
+    Two worker threads each run every other seed; numpy's normal draw and
     cos release the GIL, so the two run on two cores. Each worker draws into
     its own slot, a (2, M) frequency buffer and an M-vector projection,
     allocated here by the calling thread, so no feature-length memory lands
-    in a second malloc arena. A trial's figures do not depend on the slot
+    in a second malloc arena. A seed's figures do not depend on the slot
     or thread that runs it. An error in either worker stops both at their
-    next trial, and is raised here."""
+    next seed, and is raised here."""
     check_sizes(m_features, 2)
     slots = [(np.empty((2, m_features)), np.empty(m_features)) for _ in range(2)]
-    flags: list[list[bool]] = [[] for _ in jobs]
+    flags: list[list[list[bool]]] = [[[] for _ in taus] for _ in seeds]
     failed = threading.Event()
 
     def worker(first: int) -> None:
         omegas, work = slots[first]
         try:
-            for i in range(first, len(jobs), 2):
+            for i in range(first, len(seeds), 2):
                 if failed.is_set():
                     return
-                tau, seed = jobs[i]
-                fmap = sample_features(m_features, 2, tau, seed, out=omegas)
-                for s in sims:
-                    est = kernel_estimate(*_pair_with_similarity(s), fmap, work=work)
-                    flags[i].append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
+                fmap = sample_features(m_features, 2, taus[0], seeds[i], out=omegas)
+                for tau, row in zip(taus, flags[i]):
+                    fmap = replace(fmap, tau=tau)
+                    for s in sims:
+                        est = kernel_estimate(*_pair_with_similarity(s), fmap, work=work)
+                        row.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
         except BaseException:
             failed.set()
             raise
@@ -286,13 +289,9 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     sims = (-0.5, 0.0, 0.5, 1.0)
 
     # 3-standard-error coverage of the kernel estimate, per (tau, s)
-    jobs = [
-        (tau, 90_000 + 1000 * ti + trial) for ti, tau in enumerate(taus) for trial in range(trials)
-    ]
-    flags = _coverage_flags(jobs, sims, m_features)
+    flags = _coverage_flags([90_000 + trial for trial in range(trials)], taus, sims, m_features)
     for ti, tau in enumerate(taus):
-        hits = [sum(col) for col in zip(*flags[ti * trials : (ti + 1) * trials])]  # per s
-        worst_fraction = min(h / trials for h in hits)
+        worst_fraction = min(sum(col) / trials for col in zip(*(rows[ti] for rows in flags)))
         checks.append(
             _check(f"spectral/coverage_tau_{tau:g}", worst_fraction, 0.95, worst_fraction >= 0.95)
         )

@@ -656,13 +656,14 @@ FAILURES = [
                {"step": 13, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": ANY,
                 "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY, "beta_t": 0.8, "rho": -8.0,
                 "gather_count": 1}),
-    # step 1 drives log(tau) to -1e200: step 2 reads tau as 0.0, and the
-    # snapshot's gap, which needs a positive tau, is null
+    # step 1's update drives log(tau) to -1e200, so tau reads 0.0: the run
+    # diverges at step 1, whose snapshot holds the tau its losses used
     config_row("train-diverged-at-tau-0", {"lr_encoder": 1e200, "batch_size": 16, "epochs": 1}, 2,
-               "amorlip: training diverged: tau must be positive, got 0.0",
-               {"step": 2, "epoch": 1, "tau": 0.0, "amor_loss": None,
-                "median_abs_log_z_err": None, "stage2_loss_raw": None,
-                "stage2_loss_rescaled": None, "beta_t": 0.8, "rho": -8.0, "gather_count": None}),
+               "amorlip: training diverged: tau must have a finite, non-zero square and inverse"
+               " square, got 0 after the update at step 1",
+               {"step": 1, "epoch": 1, "tau": ANY, "amor_loss": None,
+                "median_abs_log_z_err": ANY, "stage2_loss_raw": ANY,
+                "stage2_loss_rescaled": ANY, "beta_t": 0.8, "rho": -8.0, "gather_count": 0}),
     # overflowing steps end in a divergence, with no numpy warning on stderr
     config_row("train-huge-lr_amortizer", {"lr_amortizer": 1e200, "batch_size": 16, "epochs": 1}, 2,
                "amorlip: training diverged: "
@@ -685,20 +686,22 @@ FAILURES = [
                {"f_d": 1e6, "embed_dim": 1, "batch_size": 16, "epochs": 1},
                "amorlip: out of memory: Unable to allocate 7.28 TiB for an array with shape"
                " (1000000, 1000000) and data type float64"),
-    # on other data, the encoder step drives tau below 1.5e-162, where its
-    # square underflows: the rescaled loss cannot divide by it
+    # on other data, step 6's encoder update drives tau below 1.5e-162, where
+    # its square underflows: the rescaled loss could not divide by it
     *[row(f"train-tau-square-underflow-{method}",
           f"train --data {{tmp}}/other.apds --method {method} --config {{tmp}}/c.json", 2,
           "amorlip: training diverged: tau must have a finite, non-zero square and inverse square,"
-          " got 1.15e-174",
-          {"step": 7, "epoch": 1, "stage2_loss_raw": ANY, "stage2_loss_rescaled": None,
-           "amor_loss": None, "tau": ANY, "rho": -8.0, **snapshot},
+          " got 1.15e-174 after the update at step 6",
+          {"step": 6, "epoch": 1, "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY,
+           "tau": ANY, "rho": -8.0, **snapshot},
           files={"other.apds": write_other_data,
                  "c.json": json.dumps({"epochs": 1, "batch_size": 16, "t_online": 2,
                                        "lr_encoder": 100})})
       for method, snapshot in [
-          ("amorlip", {"beta_t": 0.8, "median_abs_log_z_err": ANY, "gather_count": 3}),
-          ("clip", {"beta_t": None, "median_abs_log_z_err": None, "gather_count": 7}),
+          ("amorlip", {"beta_t": 0.8, "amor_loss": ANY, "median_abs_log_z_err": ANY,
+                       "gather_count": 3}),
+          ("clip", {"beta_t": None, "amor_loss": None, "median_abs_log_z_err": None,
+                    "gather_count": 6}),
       ]],
     # eval
     row("eval-missing-checkpoint",

@@ -96,6 +96,12 @@ class TestKernelEstimate:
         with pytest.raises(ContractError):
             kernel_estimate(np.array([1.0, 0.0]), np.array([1.0, 0.0]), fmap)
 
+    def test_dim_mismatch_names_both_lengths(self):
+        # u1 matches the map, u2 does not: the message must say which
+        fmap = sample_features(16, 2, 1.0, seed=24)
+        with pytest.raises(ContractError, match="^vectors of dims 2/3 do not match feature dim 2$"):
+            kernel_estimate(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]), fmap)
+
 
 class TestPartitionEstimate:
     def test_single_matching_reference_is_exact(self):

@@ -5,11 +5,14 @@ import tracemalloc
 
 import pytest
 
+import amorlip.spectral as spectral
 import amorlip.verify as verify_mod
 from amorlip.errors import ContractError
 from amorlip.verify import suite_gradcheck, suite_spectral
 
-# check values of the single-threaded coverage loop this one replaced, as float hex
+# spectral check values, as float hex. Each is that of a single-threaded
+# loop with one fresh draw per (seed, tau); the coverage seeds are
+# 90_000 + trial at every tau
 PINNED = {
     (20_000, 10): {
         "spectral/coverage_tau_1": "0x1.0000000000000p+0",
@@ -20,11 +23,13 @@ PINNED = {
         "spectral/imaginary_part": "0x1.7e2bb901fadacp-7",
         "spectral/relative_se": "0x1.86cb8cc02d690p-7",
     },
-    # few features: some trials miss, so the coverage fractions count hits
+    # few features: some trials miss, so the coverage fractions count hits;
+    # test_coverage_pins_match_sequential_reference derives them from
+    # per-tau draws
     (20, 30): {
         "spectral/coverage_tau_1": "0x1.eeeeeeeeeeeefp-1",
-        "spectral/coverage_tau_2": "0x1.ddddddddddddep-1",
-        "spectral/coverage_tau_4": "0x1.ddddddddddddep-1",
+        "spectral/coverage_tau_2": "0x1.eeeeeeeeeeeefp-1",
+        "spectral/coverage_tau_4": "0x1.eeeeeeeeeeeefp-1",
         "spectral/partition_vs_exact": "0x1.2f01b217bf3e8p+1",
         "spectral/rmse_ratio_4x_features": "0x1.59e7d30bc7d0ap-1",
         "spectral/imaginary_part": "0x1.5cca4627443e6p-4",
@@ -48,6 +53,7 @@ GRADCHECK_PINNED = {
 }
 
 SIMS = (-0.5, 0.0, 0.5, 1.0)
+TAUS = (1.0, 2.0, 4.0)
 
 
 @pytest.mark.parametrize("m, trials", sorted(PINNED))
@@ -61,25 +67,49 @@ def test_gradcheck_values_pinned():
     assert {c["check"]: float(c["value"]).hex() for c in checks} == GRADCHECK_PINNED
 
 
-def test_coverage_flags_match_sequential_trials():
-    # frequent thread switches: a trial taken twice or lost would show as a
-    # wrong or missing row
-    jobs = [(2.0, 90_000 + k) for k in range(60)]
+def sequential_flags(seeds, taus, m):
+    """The coverage flags from a fresh draw per (seed, tau), one at a time."""
+    flags = []
+    for seed in seeds:
+        rows = []
+        for tau in taus:
+            fmap = spectral.sample_features(m, 2, tau, seed)
+            row = []
+            for s in SIMS:
+                est = spectral.kernel_estimate(*verify_mod._pair_with_similarity(s), fmap)
+                row.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
+            rows.append(row)
+        flags.append(rows)
+    return flags
+
+
+def test_coverage_flags_match_sequential_trials(monkeypatch):
+    # frequent thread switches: a seed taken twice or lost would show as a
+    # wrong or missing row; one shared draw per seed gives the flags of
+    # three per-tau draws
+    seeds = [90_000 + k for k in range(60)]
+    drawn = []
+
+    def sample_features(m, d, tau, seed, out=None):
+        drawn.append(seed)
+        return spectral.sample_features(m, d, tau, seed, out=out)
+
+    monkeypatch.setattr(verify_mod, "sample_features", sample_features)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        flags = verify_mod._coverage_flags(jobs, SIMS, 40)
+        flags = verify_mod._coverage_flags(seeds, TAUS, SIMS, 40)
     finally:
         sys.setswitchinterval(interval)
-    expected = []
-    for tau, seed in jobs:
-        fmap = verify_mod.sample_features(40, 2, tau, seed)
-        row = []
-        for s in SIMS:
-            est = verify_mod.kernel_estimate(*verify_mod._pair_with_similarity(s), fmap)
-            row.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
-        expected.append(row)
-    assert flags == expected
+    assert sorted(drawn) == seeds  # once per seed, at every tau
+    assert flags == sequential_flags(seeds, TAUS, 40)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_coverage_pins_match_sequential_reference(tau):
+    flags = sequential_flags([90_000 + k for k in range(30)], (tau,), 20)
+    worst = min(sum(col) / 30 for col in zip(*(rows[0] for rows in flags)))
+    assert worst.hex() == PINNED[20, 30][f"spectral/coverage_tau_{tau:g}"]
 
 
 def test_helper_thread_error_reaches_caller(monkeypatch):
@@ -105,21 +135,20 @@ def test_helper_thread_error_reaches_caller(monkeypatch):
 def test_first_trial_error_cancels_the_rest(monkeypatch):
     # full-size trials take milliseconds each, so the pool cancels most of
     # the queue before the other worker gets through it
-    jobs = [(1.0, 90_000 + k) for k in range(60)]
-    real = verify_mod.sample_features
+    seeds = [90_000 + k for k in range(60)]
     started = []
 
     def sample_features(m, d, tau, seed, out=None):
         started.append(seed)
-        if seed == jobs[0][1]:
+        if seed == seeds[0]:
             raise ContractError("planted in the first trial")
-        return real(m, d, tau, seed, out=out)
+        return spectral.sample_features(m, d, tau, seed, out=out)
 
     monkeypatch.setattr(verify_mod, "sample_features", sample_features)
     with pytest.raises(ContractError, match="planted in the first trial"):
-        verify_mod._coverage_flags(jobs, SIMS, 200_000)
-    assert jobs[0][1] in started
-    assert len(started) < len(jobs) // 2
+        verify_mod._coverage_flags(seeds, TAUS, SIMS, 200_000)
+    assert seeds[0] in started
+    assert len(started) < len(seeds) // 2
 
 
 def test_no_thread_left_after_suite():
@@ -132,14 +161,14 @@ def test_coverage_loop_holds_two_slots():
     # each thread's slot: a (2, M) frequency draw and an M-vector projection;
     # the helper allocates no feature-length array of its own
     m = 200_000
-    jobs = [(1.0, 90_000 + k) for k in range(6)]
-    verify_mod._coverage_flags(jobs[:1], SIMS, 1)  # numpy.random's first seeding, once
+    seeds = [90_000 + k for k in range(6)]
+    verify_mod._coverage_flags(seeds[:1], TAUS, SIMS, 1)  # numpy.random's first seeding, once
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        flags = verify_mod._coverage_flags(jobs, SIMS, m)
+        flags = verify_mod._coverage_flags(seeds, TAUS, SIMS, m)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(flags) == len(jobs)
+    assert len(flags) == len(seeds)
     assert peak <= 2 * (2 * m * 8 + m * 8) + (1 << 20)
