@@ -198,8 +198,6 @@ def load_dataset(path) -> PairedDataset:
 def make_batch_plan(n: int, batch_size: int, seed: int, epoch: int) -> Array:
     """The epoch's seeded permutation of range(n) as an (n // batch_size,
     batch_size) array of batch indices; the final incomplete batch is dropped."""
-    if batch_size < 2:
-        raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     if batch_size > n:
         raise ConfigError(f"batch_size {batch_size} exceeds dataset size {n}")
     perm = seeded_rng(seed, BATCH_SEED_SALT, epoch).permutation(n)
@@ -208,8 +206,6 @@ def make_batch_plan(n: int, batch_size: int, seed: int, epoch: int) -> Array:
 
 def split_eval(ds: PairedDataset, eval_fraction: float, seed: int):
     """Hold out a seeded permutation slice for evaluation; returns (train, eval)."""
-    if not 0.0 < eval_fraction < 1.0:
-        raise ConfigError(f"eval_fraction must lie in (0, 1), got {eval_fraction}")
     if ds.n < 2:
         raise ConfigError(f"need at least 2 samples to hold out an eval split, got n={ds.n}")
     n_eval = int(round(ds.n * eval_fraction))

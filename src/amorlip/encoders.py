@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, DomainError
+from .errors import ContractError, DegenerateInputError
 from .net import Mlp
 from .numerics import Array, ParamBlock, l2_normalize_rows
 
@@ -23,7 +23,8 @@ class Temperature:
 
     The exposed value is exp(log_tau) clamped to (0, tau_max]; clamp() is
     applied by the trainer after every optimizer step. Both temperatures
-    come from a TrainConfig, which checks them with losses.usable_tau.
+    come from a TrainConfig, which checks them with losses.usable_tau, and
+    load_eval_model holds a stored log_tau to the clamp and the same rule.
     """
 
     def __init__(self, init_tau: float, tau_max: float):
@@ -74,11 +75,6 @@ class EncoderParams:
 
     nets: dict[str, Mlp]
 
-    def net(self, modality: str) -> Mlp:
-        if modality not in self.nets:
-            raise ContractError(f"unknown modality {modality!r}, expected one of {MODALITIES}")
-        return self.nets[modality]
-
     def blocks(self) -> list[ParamBlock]:
         out = []
         for m in MODALITIES:
@@ -94,10 +90,6 @@ def init_encoders(
     seed: int,
 ) -> EncoderParams:
     """Fresh encoder parameters; draws are keyed by (seed, salt, modality, layer)."""
-    if set(input_dims) != set(MODALITIES):
-        raise ContractError(f"input_dims must cover modalities {MODALITIES}")
-    if depth < 0 or hidden < 1 or embed_dim < 1:
-        raise ContractError(f"invalid encoder sizes: hidden={hidden}, depth={depth}, d={embed_dim}")
     nets = {}
     for idx, m in enumerate(MODALITIES):
         dims = [input_dims[m]] + [hidden] * depth + [embed_dim]
@@ -119,7 +111,7 @@ def encode(params: EncoderParams, inputs, modality: str):
     network checks the input's shape, so the row count is checked on its
     output.
     """
-    net = params.net(modality)
+    net = params.nets[modality]
     raw, acts = net.forward(inputs)
     if raw.shape[0] < 1:
         raise ContractError("encode requires at least one row")
@@ -155,6 +147,4 @@ def scaled_similarity(
     n = emb_a.n
     if n < min_n:
         raise DegenerateInputError(f"batch of {n} below the minimum of {min_n}")
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
     return n, s, tau * s

@@ -10,7 +10,7 @@ import numpy as np
 from .amortization import amortize_forward, exact_partition
 from .data import PairedDataset
 from .encoders import MODALITIES, EmbeddingBatch, encode, similarity_matrix
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .numerics import Array
 
 
@@ -64,8 +64,6 @@ def class_prototypes(emb: EmbeddingBatch, labels: Array, num_classes: int) -> Ar
     labels = np.asarray(labels)
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
-    if np.any(labels >= num_classes):
-        raise ContractError("label out of range")
     protos = np.zeros((num_classes, emb.dim))
     for c in range(num_classes):
         members = emb.data[labels == c]
@@ -80,17 +78,7 @@ def class_prototypes(emb: EmbeddingBatch, labels: Array, num_classes: int) -> Ar
 def zero_shot_accuracy(sample_emb: EmbeddingBatch, prototype_emb: Array, labels: Array) -> float:
     """Fraction of samples whose highest-similarity prototype matches the
     label; ties resolve to the lower class id."""
-    protos = np.asarray(prototype_emb, dtype=np.float64)
-    labels = np.asarray(labels)
-    if protos.ndim != 2 or protos.shape[0] < 2:
-        raise ConfigError("need at least 2 prototype rows")
-    if protos.shape[1] != sample_emb.dim:
-        raise ContractError("prototype dim does not match embeddings")
-    if labels.shape[0] != sample_emb.n:
-        raise ContractError("labels length does not match embeddings")
-    if np.any(labels >= protos.shape[0]):
-        raise ContractError("label out of range")
-    pred = np.argmax(sample_emb.data @ protos.T, axis=1)
+    pred = np.argmax(sample_emb.data @ prototype_emb.T, axis=1)
     return float(np.mean(pred == labels))
 
 
@@ -128,15 +116,18 @@ def evaluate_model(model, eval_ds: PairedDataset) -> EvalReport:
     class prototypes, and the EMA target amortizers' partition gaps when the
     state carries amortizers.
     The slice is embedded once, and the partner ranks are computed once per
-    direction for both recall cut-offs."""
-    emb = _embed_slice(model, eval_ds)
-    ranks_ab, ranks_ba = _partner_ranks(emb["a"], emb["b"])
-    k5 = min(5, eval_ds.n)
-    protos = class_prototypes(emb["b"], eval_ds.labels, eval_ds.num_classes)
-    acc = zero_shot_accuracy(emb["a"], protos, eval_ds.labels)
-    median = mean = None
-    if model.targets is not None:
-        median, mean = _partition_gaps(model, emb)
+    direction for both recall cut-offs. As in training, the checks that a
+    non-finite value reaches (a row norm, an amortizer output) report it,
+    not numpy warnings."""
+    with np.errstate(all="ignore"):
+        emb = _embed_slice(model, eval_ds)
+        ranks_ab, ranks_ba = _partner_ranks(emb["a"], emb["b"])
+        k5 = min(5, eval_ds.n)
+        protos = class_prototypes(emb["b"], eval_ds.labels, eval_ds.num_classes)
+        acc = zero_shot_accuracy(emb["a"], protos, eval_ds.labels)
+        median = mean = None
+        if model.targets is not None:
+            median, mean = _partition_gaps(model, emb)
     return EvalReport(
         recall_at_1_ab=float(np.mean(ranks_ab <= 1)),
         recall_at_1_ba=float(np.mean(ranks_ba <= 1)),

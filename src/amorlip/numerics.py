@@ -57,6 +57,9 @@ def l2_normalize_rows(mat) -> tuple[Array, Callable[[Array], Array]]:
         raise ContractError(f"l2_normalize_rows expects a 2-D array, got shape {m.shape}")
     norms = np.add.reduce(m * m, axis=1, keepdims=True)
     np.sqrt(norms, out=norms)
+    if not np.isfinite(norms).all():
+        bad = int(np.argmax(~np.isfinite(norms)))
+        raise DomainError(f"row {bad} has norm {float(norms[bad, 0])}, which is not finite")
     if (norms <= 1e-12).any():
         bad = int(np.argmin(norms))
         raise DegenerateInputError(f"row {bad} has norm {float(norms[bad, 0]):.3e} <= 1e-12")
@@ -179,8 +182,6 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0:
-            raise DomainError(f"learning rate must be positive, got {lr}")
         self.store = store
         self.lr = float(lr)
         self.beta1 = float(beta1)
@@ -240,8 +241,6 @@ class AdamW:
 
 def finite_difference_gradient(f: Callable[[Array], float], x, h: float = 1e-6) -> Array:
     """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h) per coordinate."""
-    if h <= 0:
-        raise DomainError(f"step size must be positive, got {h}")
     x = np.asarray(x, dtype=np.float64).ravel()
     g = np.empty_like(x)
     for i in range(x.size):

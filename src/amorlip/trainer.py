@@ -446,8 +446,8 @@ def run_training(
     the trajectory does not depend on what is logged.
 
     A non-finite loss, a DomainError anywhere in a step (an overflowing
-    optimizer step, divergence weight or amortizer output), or an update
-    that leaves tau failing usable_tau ends the run with a
+    encoder output, optimizer step, divergence weight or amortizer output),
+    or an update that leaves tau failing usable_tau ends the run with a
     TrainingDivergence carrying the step's record; these checks, not numpy
     warnings, report non-finite values. For "amorlip", t_online and
     t_target above the steps per epoch are a ConfigError.
@@ -472,7 +472,7 @@ def run_training(
     def diverged(message: str) -> TrainingDivergence:
         # reads the failing step's locals; a step that did not log the gap
         # computes it here, or null where it cannot
-        if amortized and record["median_abs_log_z_err"] is None:
+        if amortized and emb is not None and record["median_abs_log_z_err"] is None:
             try:
                 exact = log_z or _exact_log_z(emb, tau, cfg.include_positive)
                 lam = log_lam or _target_log_lam(state, emb)
@@ -494,10 +494,10 @@ def run_training(
             record = dict(step=step, epoch=epoch, stage2_loss_raw=None, stage2_loss_rescaled=None,
                           amor_loss=None, tau=tau, beta_t=beta_t, rho=rho,
                           median_abs_log_z_err=None, gather_count=None)
-            emb, caches = _embed(state, train_ds, idx)
             logged = metrics is not None and (step in (1, total_steps) or step % cfg.log_every == 0)
-            log_z = log_lam = None
+            emb = log_z = log_lam = None
             try:
+                emb, caches = _embed(state, train_ds, idx)
                 if amortized:
                     amortizing = k % cfg.t_online == 0
                     # exact partitions feed the amortization stage and the logged gap only
@@ -722,12 +722,20 @@ def load_eval_model(path) -> TrainState:
     """Rebuild the TrainState a checkpoint holds, from the checkpoint alone:
     the stored config fixes every size and seed, the encoder_*/w0 rows give
     the input dims, and every block that state_blocks lists is loaded in
-    place. A missing or misshapen block is a ContractError naming it."""
+    place. A missing or misshapen block is a ContractError naming it; a
+    stored log(tau) above the log(tau_max) that Temperature.clamp writes, or
+    one whose tau fails usable_tau, is a ConfigError naming its block."""
     blocks = checkpoint_load_blocks(path)
     cfg = _stored_config(blocks)
     state = _new_state(cfg, _input_dims(cfg, blocks))
     for name, dest in state_blocks(state):
         dest[...] = _block(blocks, name, dest.shape)
+    temperature = state.temperature
+    if temperature.log_tau > math.log(cfg.tau_max) or not usable_tau(temperature.tau):
+        raise ConfigError(
+            f"checkpoint block {temperature.block.name!r} holds {temperature.log_tau!r}: tau must"
+            " be at most cfg/tau_max, with a finite, non-zero square and inverse square"
+        )
     for tag, opt in _optimizers(state):
         opt.t = _stored_count(blocks, f"{tag}/t")
     for key in COUNTERS:

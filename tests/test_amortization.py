@@ -93,11 +93,6 @@ class TestExactPartition:
         with pytest.raises(DegenerateInputError):
             exact_partition(emb, emb, 1.0, include_positive=False)
 
-    def test_non_positive_tau_rejected(self):
-        emb = EmbeddingBatch(np.eye(2))
-        with pytest.raises(DomainError):
-            exact_partition(emb, emb, 0.0)
-
 
 class TestAmortizeForward:
     def test_zero_final_layer_returns_bias(self):
@@ -141,12 +136,6 @@ class TestBetaSchedule:
         values = [beta_schedule(t, 30, 0.8) for t in range(31)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 0.8 for v in values)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            beta_schedule(11, 10, 0.8)
-        with pytest.raises(DomainError):
-            beta_schedule(5, 10, 1.2)
 
 
 class TestCombinedTarget:

@@ -671,12 +671,13 @@ FAILURES = [
                {"step": 8, "epoch": 1, "tau": ANY, "median_abs_log_z_err": ANY, "amor_loss": None,
                 "stage2_loss_raw": None, "stage2_loss_rescaled": None, "beta_t": 0.8, "rho": -8.0,
                 "gather_count": None}),
+    # step 1's decay leaves weights near 1e197, so step 2's encoder output
+    # overflows: the step diverges before any loss reads its embeddings
     config_row("train-huge-weight_decay", {"weight_decay": 1e200, "batch_size": 16, "epochs": 1}, 2,
-               "amorlip: training diverged: "
-               "optimizer step 2 is not finite (overflow encountered in multiply)",
-               {"step": 2, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": ANY,
-                "stage2_loss_raw": ANY, "stage2_loss_rescaled": ANY, "beta_t": 0.8, "rho": -8.0,
-                "gather_count": 0}),
+               "amorlip: training diverged: row 0 has norm inf, which is not finite",
+               {"step": 2, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": None,
+                "stage2_loss_raw": None, "stage2_loss_rescaled": None, "beta_t": 0.8, "rho": -8.0,
+                "gather_count": None}),
     # a checkpoint packs layer widths as u32; a width below that may still not fit in memory
     config_row("config-f_d-width-beyond-u32", {"f_d": 1e200, "batch_size": 16, "epochs": 1},
                "amorlip: config key 'f_d' gives a layer width of 3.2e+201, but a checkpoint"
@@ -745,6 +746,16 @@ FAILURES = [
                f"amorlip: checkpoint block {block!r} holds {value!r}, not an integer in [0, 2**53)",
                fresh_checkpoint(set_block(block, value)))
       for block, value in [("meta/global_step", 2.5), ("opt_enc/t", -1.0), ("opt_amor/t", 1e300)]],
+    # tau must be at most the clamp's cap, with a usable square; a clip
+    # checkpoint is held to the rule too, though its eval reads no tau
+    *[eval_row(f"eval-log_tau-{value}-{method}", 1,
+               f"amorlip: checkpoint block 'temperature/log_tau' holds {value!r}: tau must be"
+               " at most cfg/tau_max, with a finite, non-zero square and inverse square",
+               fresh_checkpoint(set_block("temperature/log_tau", value), method))
+      for method, value in [("amorlip", 1000.0), ("amorlip", -1000.0), ("clip", 1000.0)]],
+    # an encoder output whose row norm overflows: no report from zeroed embeddings
+    eval_row("eval-encoder-output-overflow", 1, "amorlip: row 0 has norm inf, which is not finite",
+             fresh_checkpoint(set_block("encoder_a/w2", 1e300))),
     eval_row("eval-inflated-config-size", 1,
              "amorlip: block 'encoder_a/w0': "
              "checkpoint shape (10, 16) != expected (10, 1000000000)",

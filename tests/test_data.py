@@ -14,6 +14,7 @@ from amorlip.data import (
     split_eval,
 )
 from amorlip.errors import ConfigError, FormatError
+from amorlip.trainer import TrainConfig
 
 
 class TestGenerateSynthetic:
@@ -150,8 +151,6 @@ class TestBatchIterator:
     def test_bad_batch_sizes_rejected(self):
         ds = generate_synthetic(10, 2, 4, 4, 0.0, seed=5)
         with pytest.raises(ConfigError):
-            make_batch_plan(ds.n, 1, 0, 1)
-        with pytest.raises(ConfigError):
             make_batch_plan(ds.n, 11, 0, 1)
 
 
@@ -173,9 +172,10 @@ class TestSplitEval:
         assert np.array_equal(e1.labels, e2.labels)
 
     def test_bad_fraction_rejected(self):
-        ds = generate_synthetic(20, 2, 4, 4, 0.0, seed=5)
-        with pytest.raises(ConfigError):
-            split_eval(ds, 0.0, seed=1)
+        # split_eval takes its fraction from a TrainConfig, which checks it
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ConfigError, match="eval_fraction must lie in"):
+                TrainConfig(eval_fraction=fraction)
 
 
 class TestPairedDatasetValidation:

@@ -1,7 +1,8 @@
 """Byte-mutation fuzz of the two file formats: every mutation of a valid
 APDS1 dataset or AMCK1 checkpoint is either rejected with a typed error or
-loads into something valid, never an untyped exception. A property test over
-configs holds training and evaluation to the same rule."""
+loads into something valid, never an untyped exception. A sweep of edge
+values over every checkpoint block, and a property test over configs, hold
+evaluation and training to the same rule."""
 
 import dataclasses
 import struct
@@ -65,16 +66,23 @@ def mutated(blob: bytes, fields: list[int]):
     return st.lists(st.one_of(byte_edit, field_edit), min_size=1, max_size=4).map(apply)
 
 
-def amck1_fields(blob: bytes) -> list[int]:
-    """Offsets of the block count and of every block's name length and shape."""
-    fields = [len(CKPT_MAGIC)]
+def amck1_blocks(blob: bytes):
+    """Per block: the offsets of its name length and its shape, its name,
+    and its payload's offset and value count."""
     off = len(CKPT_MAGIC) + 4
     while off < len(blob):
         (name_len,) = struct.unpack_from("<I", blob, off)
         shape_at = off + 4 + name_len
-        fields += [off, shape_at, shape_at + 4]
         rows, cols = struct.unpack_from("<II", blob, shape_at)
+        yield off, shape_at, blob[off + 4 : shape_at].decode(), shape_at + 8, rows * cols
         off = shape_at + 8 + 8 * rows * cols
+
+
+def amck1_fields(blob: bytes) -> list[int]:
+    """Offsets of the block count and of every block's name length and shape."""
+    fields = [len(CKPT_MAGIC)]
+    for off, shape_at, *_ in amck1_blocks(blob):
+        fields += [off, shape_at, shape_at + 4]
     return fields
 
 
@@ -83,6 +91,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     save_dataset(generate_synthetic(8, 3, 2, 2, 0.05, seed=1), root / "valid.apds")
     ds = generate_synthetic(24, 3, 4, 3, 0.05, seed=1)
+    save_dataset(ds, root / "ckpt.apds")
     cfg = TrainConfig(embed_dim=3, encoder_hidden=4, encoder_depth=1, batch_size=4, seed=1)
     checkpoint_save(init_train_state(cfg, ds), root / "valid.ckpt")
     return root
@@ -135,6 +144,31 @@ def test_amck1_mutations_rejected_or_valid(files):
             pass
 
     check()
+
+
+# float64 values whose square, exp or product with a weight overflows or
+# underflows, and a zero
+BLOCK_EDGES = [1e300, -1e300, 710.0, -710.0, 0.0, 5e-324]
+
+
+@pytest.mark.filterwarnings("error")
+def test_checkpoint_block_edges_evaluate_or_fail_typed(files):
+    """Each block of a valid amorlip checkpoint, set whole to each edge
+    value, loads and evaluates as `eval` does, or fails with a typed error;
+    no numpy warning escapes."""
+    blob = (files / "valid.ckpt").read_bytes()
+    ds = load_dataset(files / "ckpt.apds")
+    for _, _, name, at, count in amck1_blocks(blob):
+        for value in BLOCK_EDGES:
+            data = bytearray(blob)
+            data[at : at + 8 * count] = np.full(count, value, dtype="<f8").tobytes()
+            try:
+                model = load_eval_model(write(files, "edge.ckpt", bytes(data)))
+                evaluate_model(model, split_eval(ds, model.config.eval_fraction, model.config.seed)[1])
+            except AmorlipError:
+                pass
+            except Exception as exc:  # a warning raised as an error included
+                raise AssertionError(f"block {name!r} set to {value!r}") from exc
 
 
 # Numbers at the edges of float64 (a zero, the subnormal extremes, values
