@@ -105,7 +105,9 @@ def exact_partition(
     diagonal dropped; mean semantics keep the value scale-consistent when
     the same definition is evaluated over slices of different sizes.
     """
-    n, _, scaled = scaled_similarity(emb_l, emb_lp, tau)
+    # only tau * S is kept: S freed here is one n x n array fewer in the logsumexp
+    scaled = scaled_similarity(emb_l, emb_lp, tau)[2]
+    n = scaled.shape[0]
     if include_positive:
         log_z = row_logsumexp(scaled) - math.log(n)
     else:

@@ -16,9 +16,10 @@ one estimate per query: the batch's mean conjugate feature is computed
 once and shared by all k.
 
 The frequencies come from numpy's ziggurat sampler as a (dim, m_features)
-draw stored transposed, so `omegas` is an (m_features, dim) column-major
+draw returned transposed, so `omegas` is an (m_features, dim) column-major
 array: each coordinate is one contiguous column, which `omegas @ v` reads
-once. The draw allocates only its output.
+once. The draw allocates only its output and holds no temperature: each
+estimator takes `omegas` and `tau`, so one draw serves every tau.
 
 Every estimator works in place, or in steps of CHUNK frequency rows, so
 no temporary grows with the feature count times the batch size: the
@@ -48,22 +49,6 @@ CHUNK = 4096  # frequency rows per in-place step
 
 
 @dataclass(frozen=True)
-class RandomFeatureMap:
-    """Frozen draw of frequency vectors with the temperature snapshot."""
-
-    omegas: Array  # (m_features, dim) i.i.d. standard normal, column-major
-    tau: float
-
-    @property
-    def m_features(self) -> int:
-        return self.omegas.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.omegas.shape[1]
-
-
-@dataclass(frozen=True)
 class KernelEstimate:
     """Monte-Carlo estimate with its empirical standard error."""
 
@@ -78,28 +63,29 @@ def check_sizes(m_features: int, dim: int) -> None:
         raise DomainError(f"need m_features >= 1 and dim >= 1, got {m_features}, {dim}")
 
 
-def sample_features(
-    m_features: int, dim: int, tau: float, seed: int, *, out: Array | None = None
-) -> RandomFeatureMap:
-    """Draw m_features frequency vectors from N(0, I_dim), keyed by seed.
+def sample_features(m_features: int, dim: int, seed: int, *, out: Array | None = None) -> Array:
+    """m_features frequency vectors drawn from N(0, I_dim), keyed by seed,
+    as the rows of an (m_features, dim) column-major array.
 
     With `out`, a C-contiguous float64 (dim, m_features) buffer, the draw is
-    written into it and the map's frequencies are its transpose; the bits
-    are those of the fresh draw."""
+    written into it and the frequencies are its transpose; the bits are
+    those of the fresh draw."""
     check_sizes(m_features, dim)
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
     rng = seeded_rng(seed)
     if out is None:
-        draw = rng.standard_normal((dim, m_features))
-    elif out.shape != (dim, m_features) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        return rng.standard_normal((dim, m_features)).T
+    if out.shape != (dim, m_features) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ContractError(
             f"out must be a C-contiguous float64 ({dim}, {m_features}) array,"
             f" got {out.dtype} {out.shape}"
         )
-    else:
-        draw = rng.standard_normal(out=out)
-    return RandomFeatureMap(omegas=draw.T, tau=float(tau))
+    return rng.standard_normal(out=out).T
+
+
+def _check_tau(tau: float) -> None:
+    """The estimators' one temperature rule."""
+    if tau <= 0:
+        raise DomainError(f"tau must be positive, got {tau}")
 
 
 def _check_unit_rows(x: Array, what: str) -> None:
@@ -130,29 +116,31 @@ def _estimate_from_samples(per_feature: Array, scale: float) -> KernelEstimate:
     return KernelEstimate(value=value, stderr=stderr)
 
 
-def _check_pair(u1, u2, fmap: RandomFeatureMap) -> tuple[Array, Array]:
-    """u1 and u2 as flat float64 unit vectors of the feature map's dim."""
+def _check_pair(u1, u2, omegas: Array, tau: float) -> tuple[Array, Array]:
+    """u1 and u2 as flat float64 unit vectors of the frequencies' dim."""
+    _check_tau(tau)
     u1, u2 = (np.asarray(u, dtype=np.float64).ravel() for u in (u1, u2))
-    if u1.shape[0] != fmap.dim or u2.shape[0] != fmap.dim:
+    dim = omegas.shape[1]
+    if u1.shape[0] != dim or u2.shape[0] != dim:
         raise ContractError(
-            f"vectors of dims {u1.shape[0]}/{u2.shape[0]} do not match feature dim {fmap.dim}"
+            f"vectors of dims {u1.shape[0]}/{u2.shape[0]} do not match feature dim {dim}"
         )
     _check_unit_rows(np.stack([u1, u2]), "pair (u1, u2)")
     return u1, u2
 
 
 def _scaled_projection(
-    u1: Array, u2: Array, fmap: RandomFeatureMap, out: Array | None = None
+    u1: Array, u2: Array, omegas: Array, tau: float, out: Array | None = None
 ) -> Array:
     """sqrt(tau) <w, u1 - u2> for every frequency row w, in `out` or a
     fresh vector."""
-    proj = np.matmul(fmap.omegas, u1 - u2, out=out)
-    proj *= math.sqrt(fmap.tau)
+    proj = np.matmul(omegas, u1 - u2, out=out)
+    proj *= math.sqrt(tau)
     return proj
 
 
 def kernel_estimate(
-    u1, u2, fmap: RandomFeatureMap, *, work: Array | None = None
+    u1, u2, omegas: Array, tau: float, *, work: Array | None = None
 ) -> KernelEstimate:
     """Monte-Carlo estimate of exp(tau * <u1, u2>) for unit vectors.
 
@@ -163,26 +151,25 @@ def kernel_estimate(
     `work`, a float64 (m_features,) vector, takes the projection in place
     of a fresh one; the figures are the same to the bit.
     """
-    u1, u2 = _check_pair(u1, u2, fmap)
-    if work is not None and (work.shape != (fmap.m_features,) or work.dtype != np.float64):
-        raise ContractError(
-            f"work must be a float64 ({fmap.m_features},) array, got {work.dtype} {work.shape}"
-        )
+    u1, u2 = _check_pair(u1, u2, omegas, tau)
+    m = omegas.shape[0]
+    if work is not None and (work.shape != (m,) or work.dtype != np.float64):
+        raise ContractError(f"work must be a float64 ({m},) array, got {work.dtype} {work.shape}")
     if np.array_equal(u1, u2):
-        return KernelEstimate(value=math.exp(fmap.tau), stderr=0.0)
-    proj = _scaled_projection(u1, u2, fmap, work)
-    return _estimate_from_samples(np.cos(proj, out=proj), math.exp(fmap.tau))
+        return KernelEstimate(value=math.exp(tau), stderr=0.0)
+    proj = _scaled_projection(u1, u2, omegas, tau, work)
+    return _estimate_from_samples(np.cos(proj, out=proj), math.exp(tau))
 
 
-def imaginary_part_estimate(u1, u2, fmap: RandomFeatureMap) -> float:
+def imaginary_part_estimate(u1, u2, omegas: Array, tau: float) -> float:
     """Mean of sin(sqrt(tau) <w, u1 - u2>); vanishes in expectation by the
     symmetry of the frequency distribution."""
-    proj = _scaled_projection(*_check_pair(u1, u2, fmap), fmap)
+    proj = _scaled_projection(*_check_pair(u1, u2, omegas, tau), omegas, tau)
     return float(np.sin(proj, out=proj).mean())
 
 
 def partition_estimate_mc(
-    queries, others: EmbeddingBatch, fmap: RandomFeatureMap
+    queries, others: EmbeddingBatch, omegas: Array, tau: float
 ) -> list[KernelEstimate]:
     """Estimates of the mean-form partition (1/n) sum_j exp(tau <u, psi_j>)
     for each unit row u of the (k, d) array `queries`, one per row, each a
@@ -190,9 +177,10 @@ def partition_estimate_mc(
 
     The mean conjugate feature is computed once for all k queries, CHUNK
     frequency rows at a time. By linearity each estimate equals the
-    average of kernel_estimate over the batch (same feature map), up to
+    average of kernel_estimate over the batch (same frequencies), up to
     rounding.
     """
+    _check_tau(tau)
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ContractError(f"queries must be a (k, d) array, got shape {queries.shape}")
@@ -200,27 +188,25 @@ def partition_estimate_mc(
         raise ContractError("the complementary batch must be non-empty")
     _check_unit_rows(queries, "query")
     _check_unit_rows(others.data, "batch")
-    if queries.shape[1] != fmap.dim or others.dim != fmap.dim:
-        raise ContractError(
-            f"dims {queries.shape[1]}/{others.dim} do not match feature dim {fmap.dim}"
-        )
-    sqrt_tau = math.sqrt(fmap.tau)
-    m = fmap.m_features
+    m, dim = omegas.shape
+    if queries.shape[1] != dim or others.dim != dim:
+        raise ContractError(f"dims {queries.shape[1]}/{others.dim} do not match feature dim {dim}")
+    sqrt_tau = math.sqrt(tau)
     mean_cos = np.empty(m)
     mean_sin = np.empty(m)
     for lo in range(0, m, CHUNK):
-        proj_o = fmap.omegas[lo : lo + CHUNK] @ others.data.T  # (CHUNK, n)
+        proj_o = omegas[lo : lo + CHUNK] @ others.data.T  # (CHUNK, n)
         proj_o *= sqrt_tau
         trig = np.cos(proj_o)
         trig.mean(axis=1, out=mean_cos[lo : lo + CHUNK])
         np.sin(proj_o, out=trig)
         trig.mean(axis=1, out=mean_sin[lo : lo + CHUNK])
-    scale = math.exp(fmap.tau)
+    scale = math.exp(tau)
     proj_u = np.empty(m)
     per_feature = np.empty(m)
     estimates = []
     for u in queries:
-        np.matmul(fmap.omegas, u, out=proj_u)
+        np.matmul(omegas, u, out=proj_u)
         proj_u *= sqrt_tau
         np.cos(proj_u, out=per_feature)
         per_feature *= mean_cos

@@ -450,7 +450,7 @@ def run_training(
     or an update that leaves tau failing usable_tau ends the run with a
     TrainingDivergence carrying the step's record; these checks, not numpy
     warnings, report non-finite values. For "amorlip", t_online and
-    t_target above the steps per epoch are a ConfigError.
+    t_target above the steps per epoch, and alpha 1, are a ConfigError.
     """
     amortized = cfg.method == "amorlip"
     train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
@@ -464,6 +464,9 @@ def run_training(
                 f"config key {key!r} must be at most the {steps_per_epoch} steps per epoch,"
                 f" got {getattr(cfg, key)}"
             )
+    if amortized and cfg.alpha == 1:
+        # the same waste: the EMA target never leaves each epoch's fresh draw
+        raise ConfigError(f"config key 'alpha' must be below 1 for amorlip, got {cfg.alpha}")
     state = start_state if start_state is not None else init_train_state(cfg, ds)
     total_steps = steps_per_epoch * cfg.epochs
     stop = total_steps if max_steps is None else min(max_steps, total_steps)
@@ -724,12 +727,19 @@ def load_eval_model(path) -> TrainState:
     the input dims, and every block that state_blocks lists is loaded in
     place. A missing or misshapen block is a ContractError naming it; a
     stored log(tau) above the log(tau_max) that Temperature.clamp writes, or
-    one whose tau fails usable_tau, is a ConfigError naming its block."""
+    one whose tau fails usable_tau, is a ConfigError naming its block, and
+    so is a meta/tau_max that differs from cfg/tau_max."""
     blocks = checkpoint_load_blocks(path)
     cfg = _stored_config(blocks)
     state = _new_state(cfg, _input_dims(cfg, blocks))
     for name, dest in state_blocks(state):
         dest[...] = _block(blocks, name, dest.shape)
+    # state_blocks copies meta/tau_max out of the config, so it is checked here
+    tau_max = float(blocks["meta/tau_max"][0, 0])
+    if tau_max != cfg.tau_max:
+        raise ConfigError(
+            f"checkpoint block 'meta/tau_max' holds {tau_max!r}, not cfg/tau_max's {cfg.tau_max!r}"
+        )
     temperature = state.temperature
     if temperature.log_tau > math.log(cfg.tau_max) or not usable_tau(temperature.tau):
         raise ConfigError(

@@ -10,15 +10,15 @@ passes only if every check passes. All randomness is seeded.
 from __future__ import annotations
 
 import math
-import threading
+import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from .amortization import (
     GENERATORS,
+    DivergenceGenerator,
     amortize_backward,
     amortize_forward,
     beta_schedule,
@@ -135,8 +135,9 @@ def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
     return _gradcheck_params([a, b, log_tau], value, backward)
 
 
-def _gradcheck_amortizer_loss(objective: str, seed: int) -> float:
-    """FD check over the amortizer parameters for one amortization loss."""
+def _gradcheck_amortizer_loss(seed: int, gen: DivergenceGenerator | None = None) -> float:
+    """FD check over the amortizer parameters for one amortization loss:
+    the l2log objective, or the divergence objective with generator gen."""
     rng = seeded_rng(9200, seed)
     n = int(rng.integers(2, 9))
     d = int(rng.integers(2, 13))
@@ -145,7 +146,7 @@ def _gradcheck_amortizer_loss(objective: str, seed: int) -> float:
     tau = float(rng.uniform(0.5, 2.0))
     log_z = exact_partition(emb, other, tau).log_z_exact
     theta = init_amortizer(d, 0.5, "a", (seed, 9201))
-    if objective == "l2log":
+    if gen is None:
 
         def loss(log_lam: Array) -> tuple[float, Array]:
             return loss_l2log_values(log_lam, log_z)
@@ -154,7 +155,6 @@ def _gradcheck_amortizer_loss(objective: str, seed: int) -> float:
             loss_l2log(theta, emb, log_z)
 
     else:
-        gen = GENERATORS[objective]
         weights = fdiv_weights(emb.data @ other.data.T, tau, log_z)
 
         def loss(log_lam: Array) -> tuple[float, Array]:
@@ -207,13 +207,13 @@ def suite_gradcheck(instances: int = 20) -> list[dict]:
         ("gradcheck/nce_loss", lambda s: _gradcheck_pair_loss("nce", s)),
         ("gradcheck/amortized_mle_loss", lambda s: _gradcheck_pair_loss("mle", s)),
         ("gradcheck/temperature_rescale", lambda s: _gradcheck_pair_loss("rescale", s)),
-        ("gradcheck/loss_l2log", lambda s: _gradcheck_amortizer_loss("l2log", s)),
+        ("gradcheck/loss_l2log", _gradcheck_amortizer_loss),
         ("gradcheck/encoder_backward", _gradcheck_encoder),
         ("gradcheck/amortize_forward", _gradcheck_amortize_forward),
     ]
-    for gen_name in GENERATORS:
+    for gen in GENERATORS.values():
         families.append(
-            (f"gradcheck/loss_fdiv_{gen_name}", lambda s, g=gen_name: _gradcheck_amortizer_loss(g, s))
+            (f"gradcheck/loss_fdiv_{gen.name}", lambda s, g=gen: _gradcheck_amortizer_loss(s, g))
         )
     for name, fn in families:
         worst = max(fn(s) for s in range(instances))
@@ -242,39 +242,32 @@ def _coverage_flags(
     kernel estimate lies within 3 standard errors of exp(tau * s). The draw
     does not depend on tau, so each seed is drawn once and read at every tau.
 
-    Two worker threads each run every other seed; numpy's normal draw and
-    cos release the GIL, so the two run on two cores. Each worker draws into
-    its own slot, a (2, M) frequency buffer and an M-vector projection,
-    allocated here by the calling thread, so no feature-length memory lands
-    in a second malloc arena. A seed's figures do not depend on the slot
-    or thread that runs it. An error in either worker stops both at their
-    next seed, and is raised here."""
+    The seeds go to a pool of two threads, each to whichever is free;
+    numpy's normal draw and cos release the GIL, so the two run on two
+    cores. A trial takes one of two slots, a (2, M) frequency buffer and an
+    M-vector projection, allocated here by the calling thread, so no
+    feature-length memory lands in a second malloc arena. A seed's figures
+    do not depend on the slot or thread that runs it. The first error in
+    seed order is raised here, and the seeds not yet started are cancelled."""
     check_sizes(m_features, 2)
-    slots = [(np.empty((2, m_features)), np.empty(m_features)) for _ in range(2)]
-    flags: list[list[list[bool]]] = [[[] for _ in taus] for _ in seeds]
-    failed = threading.Event()
+    slots = queue.SimpleQueue()
+    for _ in range(2):
+        slots.put((np.empty((2, m_features)), np.empty(m_features)))
 
-    def worker(first: int) -> None:
-        omegas, work = slots[first]
+    def covered(omegas: Array, tau: float, s: float, work: Array) -> bool:
+        est = kernel_estimate(*_pair_with_similarity(s), omegas, tau, work=work)
+        return abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr
+
+    def trial(seed: int) -> list[list[bool]]:
+        buf, work = slots.get()
         try:
-            for i in range(first, len(seeds), 2):
-                if failed.is_set():
-                    return
-                fmap = sample_features(m_features, 2, taus[0], seeds[i], out=omegas)
-                for tau, row in zip(taus, flags[i]):
-                    fmap = replace(fmap, tau=tau)
-                    for s in sims:
-                        est = kernel_estimate(*_pair_with_similarity(s), fmap, work=work)
-                        row.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
-        except BaseException:
-            failed.set()
-            raise
+            omegas = sample_features(m_features, 2, seed, out=buf)
+            return [[covered(omegas, tau, s, work) for s in sims] for tau in taus]
+        finally:
+            slots.put((buf, work))
 
     with ThreadPoolExecutor(2, thread_name_prefix="spectral-coverage") as pool:
-        workers = [pool.submit(worker, first) for first in range(2)]
-    for done in workers:
-        done.result()
-    return flags
+        return list(pool.map(trial, seeds))
 
 
 def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
@@ -304,11 +297,10 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
         batch = _unit_batch(rng, 8, d)
         query = _unit_batch(rng, 8, d)
         pe = exact_partition(query, batch, tau)
-        fmap = sample_features(m_features, d, tau, seed=92_000 + b)
-        for est, log_z in zip(partition_estimate_mc(query.data, batch, fmap), pe.log_z_exact):
-            z = abs(est.value - math.exp(log_z)) / est.stderr
-            max_z = max(max_z, z)
-        del fmap
+        omegas = sample_features(m_features, d, seed=92_000 + b)
+        for est, log_z in zip(partition_estimate_mc(query.data, batch, omegas, tau), pe.log_z_exact):
+            max_z = max(max_z, abs(est.value - math.exp(log_z)) / est.stderr)
+        del omegas
     checks.append(_check("spectral/partition_vs_exact", max_z, 3.0, max_z <= 3.0))
 
     # O(1/sqrt(M)) error decay: quadrupling M should halve the RMSE
@@ -318,8 +310,8 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     truth = math.exp(tau * s)
     errs0, errs1 = [], []
     for seed in range(50):
-        e0 = kernel_estimate(u1, u2, sample_features(m0, d_pair, tau, seed=93_000 + seed))
-        e1 = kernel_estimate(u1, u2, sample_features(4 * m0, d_pair, tau, seed=94_000 + seed))
+        e0 = kernel_estimate(u1, u2, sample_features(m0, d_pair, seed=93_000 + seed), tau)
+        e1 = kernel_estimate(u1, u2, sample_features(4 * m0, d_pair, seed=94_000 + seed), tau)
         errs0.append((e0.value - truth) ** 2)
         errs1.append((e1.value - truth) ** 2)
     ratio = math.sqrt(sum(errs1) / len(errs1)) / math.sqrt(sum(errs0) / len(errs0))
@@ -328,14 +320,14 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     )
 
     # imaginary part of the feature product vanishes by symmetry
-    fmap = sample_features(m_features, d_pair, 2.0, seed=95_000)
-    imag = abs(imaginary_part_estimate(*_pair_with_similarity(0.5), fmap))
+    omegas = sample_features(m_features, d_pair, seed=95_000)
+    imag = abs(imaginary_part_estimate(*_pair_with_similarity(s), omegas, tau))
     bound = 3.0 / math.sqrt(m_features)
     checks.append(_check("spectral/imaginary_part", imag, bound, imag <= bound))
 
     # precision gate: the estimator is only useful once the relative
     # standard error is small; deliberately tiny feature counts fail here
-    est = kernel_estimate(u1, u2, fmap)
+    est = kernel_estimate(u1, u2, omegas, tau)
     rel_se = est.stderr / abs(est.value)
     checks.append(_check("spectral/relative_se", rel_se, 0.01, rel_se <= 0.01))
     return checks

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ class TestExactPartition:
         emb = EmbeddingBatch(np.array([[1.0, 0.0]]))
         with pytest.raises(DegenerateInputError):
             exact_partition(emb, emb, 1.0, include_positive=False)
+
+    @pytest.mark.parametrize("include_positive", [True, False])
+    def test_holds_two_score_matrices(self, include_positive):
+        # tau * S and the logsumexp's shifted copy; S itself is not kept
+        n = 1000
+        rng = seeded_rng(63)
+        emb_l, emb_lp = unit_batch(rng, n, 8), unit_batch(rng, n, 8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            exact_partition(emb_l, emb_lp, 2.0, include_positive)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8 + (1 << 20)
 
 
 class TestAmortizeForward:

@@ -648,6 +648,9 @@ FAILURES = [
     *[config_row(f"config-{key}-beyond-epoch", {"batch_size": 16, "epochs": 1, key: 17},
                  f"amorlip: config key {key!r} must be at most the 16 steps per epoch, got 17")
       for key in ("t_online", "t_target")],
+    # alpha 1 freezes the EMA target at each epoch's fresh draw
+    config_row("config-alpha-1-amorlip", {"batch_size": 16, "epochs": 1, "alpha": 1},
+               "amorlip: config key 'alpha' must be below 1 for amorlip, got 1"),
     # an accepted but huge temperature: the squared encoder gradient overflows
     config_row("train-optimizer-overflow",
                {"tau_init": 1000.0, "tau_max": 1000.0, "batch_size": 16, "epochs": 1}, 2,
@@ -727,6 +730,10 @@ FAILURES = [
     *[eval_row(f"eval-missing-{block}", 1, f"amorlip: checkpoint is missing block {block!r}",
                fresh_checkpoint(lambda blocks, block=block: blocks.pop(block)))
       for block in ("cfg/seed", "cfg/eval_fraction", "meta/tau_max")],
+    # the benchmark's own reader clamps tau with meta/tau_max: it must be cfg/tau_max
+    eval_row("eval-meta-tau_max-not-cfg", 1,
+             "amorlip: checkpoint block 'meta/tau_max' holds -710.0, not cfg/tau_max's 100.0",
+             fresh_checkpoint(set_block("meta/tau_max", -710.0))),
     *[eval_row(f"eval-old-format-{method}", 1, "amorlip: checkpoint is missing block 'cfg/method'",
                fresh_checkpoint(to_old_format, method))
       for method in ("amorlip", "clip")],

@@ -7,6 +7,7 @@ import pytest
 
 import amorlip.spectral as spectral
 import amorlip.verify as verify_mod
+from amorlip.amortization import GENERATORS
 from amorlip.errors import ContractError
 from amorlip.verify import suite_gradcheck, suite_spectral
 
@@ -38,7 +39,8 @@ PINNED = {
 }
 
 # gradcheck check values of the concatenated-vector pair checks this one
-# replaced, as float hex
+# replaced, as float hex; loss_fdiv_l2log's is the divergence loss under
+# the l2log generator, not the l2log objective's loss_l2log figure
 GRADCHECK_PINNED = {
     "gradcheck/nce_loss": "0x1.86d22f5cc0058p-29",
     "gradcheck/amortized_mle_loss": "0x1.78074d2809a6ep-30",
@@ -49,7 +51,7 @@ GRADCHECK_PINNED = {
     "gradcheck/loss_fdiv_kl": "0x1.708a703ac5879p-30",
     "gradcheck/loss_fdiv_kl_affine": "0x1.de7d661bf4ce3p-32",
     "gradcheck/loss_fdiv_js": "0x1.e58c991822891p-29",
-    "gradcheck/loss_fdiv_l2log": "0x1.152778051e118p-32",
+    "gradcheck/loss_fdiv_l2log": "0x1.5f1fd0a7dfb5fp-32",
 }
 
 SIMS = (-0.5, 0.0, 0.5, 1.0)
@@ -67,16 +69,31 @@ def test_gradcheck_values_pinned():
     assert {c["check"]: float(c["value"]).hex() for c in checks} == GRADCHECK_PINNED
 
 
+def test_gradcheck_reaches_each_generator(monkeypatch):
+    # each loss_fdiv family checks the divergence loss with its own
+    # generator, not the l2log objective under the l2log generator's name
+    seen = []
+
+    def loss_fdiv_values(log_lam, log_z, gen, weights):
+        seen.append(gen.name)
+        return real(log_lam, log_z, gen, weights)
+
+    real = verify_mod.loss_fdiv_values
+    monkeypatch.setattr(verify_mod, "loss_fdiv_values", loss_fdiv_values)
+    suite_gradcheck(instances=1)
+    assert set(seen) == set(GENERATORS)
+
+
 def sequential_flags(seeds, taus, m):
     """The coverage flags from a fresh draw per (seed, tau), one at a time."""
     flags = []
     for seed in seeds:
         rows = []
         for tau in taus:
-            fmap = spectral.sample_features(m, 2, tau, seed)
+            omegas = spectral.sample_features(m, 2, seed)
             row = []
             for s in SIMS:
-                est = spectral.kernel_estimate(*verify_mod._pair_with_similarity(s), fmap)
+                est = spectral.kernel_estimate(*verify_mod._pair_with_similarity(s), omegas, tau)
                 row.append(abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr)
             rows.append(row)
         flags.append(rows)
@@ -90,9 +107,9 @@ def test_coverage_flags_match_sequential_trials(monkeypatch):
     seeds = [90_000 + k for k in range(60)]
     drawn = []
 
-    def sample_features(m, d, tau, seed, out=None):
+    def sample_features(m, d, seed, out=None):
         drawn.append(seed)
-        return spectral.sample_features(m, d, tau, seed, out=out)
+        return spectral.sample_features(m, d, seed, out=out)
 
     monkeypatch.setattr(verify_mod, "sample_features", sample_features)
     interval = sys.getswitchinterval()
@@ -138,11 +155,11 @@ def test_first_trial_error_cancels_the_rest(monkeypatch):
     seeds = [90_000 + k for k in range(60)]
     started = []
 
-    def sample_features(m, d, tau, seed, out=None):
+    def sample_features(m, d, seed, out=None):
         started.append(seed)
         if seed == seeds[0]:
             raise ContractError("planted in the first trial")
-        return spectral.sample_features(m, d, tau, seed, out=out)
+        return spectral.sample_features(m, d, seed, out=out)
 
     monkeypatch.setattr(verify_mod, "sample_features", sample_features)
     with pytest.raises(ContractError, match="planted in the first trial"):
