@@ -88,6 +88,12 @@ def generate_synthetic(
         raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    sizes = {"n": n, "num_classes": num_classes, "dim_a": dim_a, "dim_b": dim_b}
+    for key, size in sizes.items():
+        if size >= 2**32:  # APDS1 packs each in its header as a u32
+            raise ConfigError(
+                f"{key} must be below 2**32, since APDS1 stores it as a u32, got {size}"
+            )
     rng = seeded_rng(seed)
     latent = min(dim_a, dim_b)
     protos = rng.standard_normal((num_classes, latent))

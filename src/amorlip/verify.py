@@ -51,6 +51,7 @@ from .spectral import (
     check_sizes,
     imaginary_part_estimate,
     kernel_estimate,
+    kernel_estimates,
     partition_estimate_mc,
     sample_features,
 )
@@ -239,32 +240,31 @@ def _coverage_flags(
     seeds: list[int], taus: tuple[float, ...], sims: tuple[float, ...], m_features: int
 ) -> list[list[list[bool]]]:
     """For each seed, in order, and each tau, whether each similarity's
-    kernel estimate lies within 3 standard errors of exp(tau * s). The draw
-    does not depend on tau, so each seed is drawn once and read at every tau.
+    kernel estimate lies within 3 standard errors of exp(tau * s).
 
-    The seeds go to a pool of two threads, each to whichever is free;
-    numpy's normal draw and cos release the GIL, so the two run on two
-    cores. A trial takes one of two slots, a (2, M) frequency buffer and an
-    M-vector projection, allocated here by the calling thread, so no
-    feature-length memory lands in a second malloc arena. A seed's figures
-    do not depend on the slot or thread that runs it. The first error in
-    seed order is raised here, and the seeds not yet started are cancelled."""
+    Two threads take the seeds, each to whichever is free; numpy's normal
+    draw and cos release the GIL. A trial draws its seed once into one of
+    two slots, a (2, M) frequency buffer and a (2, M) work array that the
+    caller allocates, so no feature-length memory lands in a second malloc
+    arena. A seed's figures do not depend on the slot or thread that runs
+    it. The first error in seed order is raised here, and the seeds not yet
+    started are cancelled."""
     check_sizes(m_features, 2)
     slots = queue.SimpleQueue()
     for _ in range(2):
-        slots.put((np.empty((2, m_features)), np.empty(m_features)))
-
-    def covered(omegas: Array, tau: float, s: float, work: Array) -> bool:
-        est = kernel_estimate(*_pair_with_similarity(s), omegas, tau, work=work)
-        return abs(est.value - math.exp(tau * s)) <= 3.0 * est.stderr
+        slots.put((np.empty((2, m_features)), np.empty((2, m_features))))
 
     def trial(seed: int) -> list[list[bool]]:
         buf, work = slots.get()
         try:
             omegas = sample_features(m_features, 2, seed, out=buf)
-            return [[covered(omegas, tau, s, work) for s in sims] for tau in taus]
+            per_s = [kernel_estimates(*_pair_with_similarity(s), omegas, taus, work=work) for s in sims]
         finally:
             slots.put((buf, work))
+        return [
+            [abs(e.value - math.exp(tau * s)) <= 3.0 * e.stderr for s, e in zip(sims, per_tau)]
+            for tau, per_tau in zip(taus, zip(*per_s))
+        ]
 
     with ThreadPoolExecutor(2, thread_name_prefix="spectral-coverage") as pool:
         return list(pool.map(trial, seeds))

@@ -558,6 +558,11 @@ FAILURES = [
         "amorlip: noise_sigma 1e+300 gives features not finite in float32", absent=("x.apds",)),
     row("gen-data-negative-seed", "gen-data --out {tmp}/x.apds --seed -3", 1,
         "amorlip: seed must be a non-negative integer, got -3", absent=("x.apds",)),
+    # rejected before the first draw: 2**32 samples of dims 64 and 48 would
+    # be about 3.8 TB of float64
+    row("gen-data-n-beyond-u32", "gen-data --out {tmp}/x.apds --n 4294967296", 1,
+        "amorlip: n must be below 2**32, since APDS1 stores it as a u32, got 4294967296",
+        absent=("x.apds",)),
     # train: flags, files and outputs
     row("train-no-data-flag", "train", 1,
         *USAGE_TRAIN, "amorlip train: error: the following arguments are required: --data"),

@@ -13,6 +13,7 @@ from amorlip.spectral import (
     KernelEstimate,
     imaginary_part_estimate,
     kernel_estimate,
+    kernel_estimates,
     partition_estimate_mc,
     sample_features,
 )
@@ -52,11 +53,12 @@ class TestSampleFeatures:
         u1, u2 = pair_with_similarity(2, 0.5)
         for estimate in (
             lambda tau: kernel_estimate(u1, u2, omegas, tau),
+            lambda tau: kernel_estimates(u1, u2, omegas, (1.0, tau)),
             lambda tau: imaginary_part_estimate(u1, u2, omegas, tau),
             lambda tau: partition_estimate_mc(u1[None, :], EmbeddingBatch(u2[None, :]), omegas, tau),
         ):
-            for tau in (-1.0, 0.0):
-                with pytest.raises(DomainError, match="tau must be positive"):
+            for tau in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="tau must be positive and finite"):
                     estimate(tau)
 
 
@@ -106,6 +108,44 @@ class TestKernelEstimate:
         omegas = sample_features(16, 2, seed=24)
         with pytest.raises(ContractError, match="^vectors of dims 2/3 do not match feature dim 2$"):
             kernel_estimate(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]), omegas, 1.0)
+
+
+class TestKernelEstimates:
+    TAUS = (1.0, 2.0, 4.0)
+
+    @pytest.mark.parametrize("m", [1, 2, CHUNK + 1, 200_000])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5])
+    def test_match_one_tau_at_a_time(self, m, s):
+        # tau 1 and 2 take their own cosines; tau 4 takes 2 c**2 - 1 from
+        # tau 1's, which rounds differently from a direct cosine
+        omegas = sample_features(m, 2, seed=26)
+        u1, u2 = pair_with_similarity(2, s)
+        together = kernel_estimates(u1, u2, omegas, self.TAUS)
+        alone = [kernel_estimate(u1, u2, omegas, tau) for tau in self.TAUS]
+        assert same_bits(together[0], alone[0]) and same_bits(together[1], alone[1])
+        tol = 1e-12 * math.exp(4.0)
+        assert math.isclose(together[2].value, alone[2].value, rel_tol=0.0, abs_tol=tol)
+        assert math.isclose(together[2].stderr, alone[2].stderr, rel_tol=0.0, abs_tol=tol)
+
+    def test_identical_inputs_exact_at_every_tau(self):
+        omegas = sample_features(64, 2, seed=27)
+        u = np.array([0.6, 0.8])
+        assert kernel_estimates(u, u.copy(), omegas, self.TAUS) == [
+            KernelEstimate(math.exp(tau), 0.0) for tau in self.TAUS
+        ]
+
+    @pytest.mark.parametrize(
+        "taus", [(4.0, 1.0), (1.0, 4.0, 16.0), (2.0, 2.0, 8.0), (0.25, 3.0, 1.0), ()]
+    )
+    def test_any_order_and_repeats(self, taus):
+        # each estimate is reported at its tau's place, whatever the order
+        omegas = sample_features(CHUNK + 1, 2, seed=28)
+        u1, u2 = pair_with_similarity(2, 0.5)
+        got = kernel_estimates(u1, u2, omegas, taus, work=np.empty((2, CHUNK + 1)))
+        assert len(got) == len(taus)
+        for tau, est in zip(taus, got):
+            want = kernel_estimate(u1, u2, omegas, tau)
+            assert abs(est.value - want.value) <= 1e-12 * math.exp(tau)
 
 
 class TestPartitionEstimate:
@@ -268,7 +308,21 @@ class TestBitIdentity:
             kernel_estimate(u1, u2, omegas, 2.0, work=work), kernel_estimate(u1, u2, omegas, 2.0)
         )
 
-    @pytest.mark.parametrize("work", [np.empty(15), np.empty(16, np.float32)], ids=["shape", "dtype"])
+    @pytest.mark.parametrize("m", BOUNDARY_M)
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_kernels_into_work_rows(self, m, rows):
+        omegas = sample_features(m, 4, seed=52)
+        u1, u2 = unit_rows(53, 2, 4)
+        taus = (1.0, 2.0, 4.0)
+        fresh = kernel_estimates(u1, u2, omegas, taus)
+        lent = kernel_estimates(u1, u2, omegas, taus, work=np.empty((rows, m)))
+        assert all(same_bits(a, b) for a, b in zip(fresh, lent))
+
+    @pytest.mark.parametrize(
+        "work",
+        [np.empty(15), np.empty(16, np.float32), np.empty((2, 15)), np.empty((1, 2, 16)), np.empty(())],
+        ids=["shape", "dtype", "row-length", "rank-3", "rank-0"],
+    )
     def test_wrong_work_rejected(self, work):
         omegas = sample_features(16, 2, seed=59)
         u = np.array([1.0, 0.0])

@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import amorlip.spectral as spectral
@@ -122,6 +123,24 @@ def test_coverage_flags_match_sequential_trials(monkeypatch):
     assert flags == sequential_flags(seeds, TAUS, 40)
 
 
+def test_coverage_loop_cosines_per_seed(monkeypatch):
+    # each similarity below 1 takes cosines at tau 1 and 2 from its one
+    # projection and tau 4's from tau 1's; the s = 1 pair takes none
+    m = 1000
+    seeds = [90_000 + k for k in range(4)]
+    calls = []
+    real = np.cos
+
+    def cos(x, *args, **kwargs):
+        if np.shape(x) == (m,):
+            calls.append(x.shape)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", cos)
+    verify_mod._coverage_flags(seeds, TAUS, SIMS, m)
+    assert len(calls) == 6 * len(seeds)
+
+
 @pytest.mark.parametrize("tau", TAUS)
 def test_coverage_pins_match_sequential_reference(tau):
     flags = sequential_flags([90_000 + k for k in range(30)], (tau,), 20)
@@ -175,8 +194,9 @@ def test_no_thread_left_after_suite():
 
 
 def test_coverage_loop_holds_two_slots():
-    # each thread's slot: a (2, M) frequency draw and an M-vector projection;
-    # the helper allocates no feature-length array of its own
+    # each thread's slot: a (2, M) frequency draw and a (2, M) work array
+    # for the projection and the tau-1 cosines that tau 4 reads; the helper
+    # allocates no feature-length array of its own
     m = 200_000
     seeds = [90_000 + k for k in range(6)]
     verify_mod._coverage_flags(seeds[:1], TAUS, SIMS, 1)  # numpy.random's first seeding, once
@@ -188,4 +208,4 @@ def test_coverage_loop_holds_two_slots():
     finally:
         tracemalloc.stop()
     assert len(flags) == len(seeds)
-    assert peak <= 2 * (2 * m * 8 + m * 8) + (1 << 20)
+    assert peak <= 2 * (2 * m * 8 + 2 * m * 8) + (1 << 20)
