@@ -1,7 +1,7 @@
 """Command-line surface: gen-data, train, eval, verify.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure or
-training divergence, 3 I/O or file-format error.
+training divergence, 3 I/O or file-format error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .data import (
     split_eval,
     write_atomic,
 )
-from .errors import AmorlipError, FormatError, TrainingDivergence
+from .errors import AmorlipError, ConfigError, FormatError, TrainingDivergence
 from .evaluation import evaluate_model
 from .trainer import (
     METHODS,
@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the status a shell gives a Ctrl-C
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +88,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--features",
         type=int,
-        default=200_000,
-        help=f"feature count for the spectral suite, at most {MAX_FEATURES}",
+        help=f"feature count for the spectral suite (default 200000), at most {MAX_FEATURES}",
     )
     return parser
 
@@ -181,7 +181,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     kwargs = {}
-    if args.suite == "spectral":
+    if args.features is not None:
+        if args.suite != "spectral":
+            raise ConfigError("--features applies to the spectral suite only")
         kwargs["m_features"] = args.features
     checks = run_suite(args.suite, **kwargs)
     for check in checks:
@@ -215,6 +217,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a config whose networks do not fit in memory
         print(f"amorlip: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("amorlip: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ draw returned transposed, so `omegas` is an (m_features, dim) column-major
 array: each coordinate is one contiguous column, which `omegas @ v` reads
 once. The draw allocates only its output and holds no temperature: each
 estimator takes `omegas` and `tau`, so one draw serves every tau, and
-`kernel_estimates` reads one pair's projection at several taus.
+`kernel_ladder` reads one pair's projection at tau 1, 2 and 4.
 
 Every estimator works in place, or in steps of CHUNK frequency rows, so
 no temporary grows with the feature count times the batch size: the
@@ -117,8 +117,16 @@ def _estimate_from_samples(per_feature: Array, scale: float) -> KernelEstimate:
     return KernelEstimate(value=value, stderr=stderr)
 
 
-def _check_pair(u1, u2, omegas: Array) -> tuple[Array, Array]:
-    """u1 and u2 as flat float64 unit vectors of the frequencies' dim."""
+def _projection(u1, u2, omegas: Array, *taus: float, out: Array | None = None) -> Array | None:
+    """The pair estimators' preamble: check each tau, and that u1 and u2
+    are unit vectors of the frequencies' dim, then return the projection
+    p = omegas @ (u1 - u2), in `out` if given.
+
+    Identical inputs give None: every feature then contributes cos(0) = 1
+    and sin(0) = 0, so each estimate is exact without a projection, and
+    it is the full path's to the bit."""
+    for tau in taus:
+        _check_tau(tau)
     u1, u2 = (np.asarray(u, dtype=np.float64).ravel() for u in (u1, u2))
     dim = omegas.shape[1]
     if u1.shape[0] != dim or u2.shape[0] != dim:
@@ -126,89 +134,54 @@ def _check_pair(u1, u2, omegas: Array) -> tuple[Array, Array]:
             f"vectors of dims {u1.shape[0]}/{u2.shape[0]} do not match feature dim {dim}"
         )
     _check_unit_rows(np.stack([u1, u2]), "pair (u1, u2)")
-    return u1, u2
+    if np.array_equal(u1, u2):
+        return None
+    return np.matmul(omegas, u1 - u2, out=out)
 
 
-def kernel_estimates(
-    u1, u2, omegas: Array, taus, *, work: Array | None = None
-) -> list[KernelEstimate]:
-    """Monte-Carlo estimates of exp(tau * <u1, u2>) for unit vectors, one
-    per tau in `taus`, all read from one projection p = <w, u1 - u2>.
+def kernel_estimate(u1, u2, omegas: Array, tau: float) -> KernelEstimate:
+    """Monte-Carlo estimate of exp(tau * <u1, u2>) for unit vectors: the
+    mean of exp(tau) cos(sqrt(tau) <w, u1 - u2>) over the frequencies."""
+    proj = _projection(u1, u2, omegas, tau)
+    if proj is None:
+        return KernelEstimate(value=math.exp(tau), stderr=0.0)
+    proj *= math.sqrt(tau)
+    return _estimate_from_samples(np.cos(proj, out=proj), math.exp(tau))
 
-    A tau computes cos(sqrt(tau) p), unless its quarter is also in `taus`:
-    sqrt(4 t) = 2 sqrt(t) exactly, so that tau takes 2 c**2 - 1 from the
-    quarter's cosines c. Its figures then differ from a direct cosine's in
-    the last bits (about 1e-15 relative); every other tau's are those of a
-    lone tau to the bit.
 
-    Identical inputs give exactly exp(tau) with zero sampling variance,
-    since every feature contributes cos(0); that answer is returned
-    without a projection, and it is the full path's to the bit.
+LADDER = (1.0, 2.0, 4.0)  # the temperatures kernel_ladder estimates at
 
-    `work`, a float64 (m_features,) vector or (k, m_features) array,
-    lends its rows in place of fresh vectors; one tau needs one row, and
-    taus (1, 2, 4) two. The figures do not depend on which vector holds
-    them.
-    """
-    taus = tuple(taus)
-    for tau in taus:
-        _check_tau(tau)
-    u1, u2 = _check_pair(u1, u2, omegas)
+
+def kernel_ladder(u1, u2, omegas: Array, work: Array) -> list[KernelEstimate]:
+    """kernel_estimate at each tau of LADDER, from one projection held in
+    `work`, a float64 (2, m_features) array.
+
+    Tau 1 and 2 take their own cosines, and their figures are
+    kernel_estimate's to the bit. Tau 4 takes 2 c**2 - 1 from tau 1's
+    cosines c, since sqrt(4) = 2 sqrt(1) exactly; its figures differ from
+    a direct cosine's in the last bits (about 1e-15 relative)."""
     m = omegas.shape[0]
-    if work is not None and (
-        work.ndim not in (1, 2) or work.shape[-1] != m or work.dtype != np.float64
-    ):
-        raise ContractError(
-            f"work must be a float64 ({m},) or (k, {m}) array, got {work.dtype} {work.shape}"
-        )
-    spare = [] if work is None else list(np.atleast_2d(work))  # row views
-    if not taus or np.array_equal(u1, u2):
-        return [KernelEstimate(value=math.exp(tau), stderr=0.0) for tau in taus]
-
-    def vector() -> Array:
-        return spare.pop() if spare else np.empty(m)
-
-    # ascending, so each quarter's cosines come before the tau that reads
-    # them; the last tau to read the projection takes it in place
-    order = sorted(set(taus))
-    direct = [tau for tau in order if tau not in {4 * t for t in order}]
-    proj = np.matmul(omegas, u1 - u2, out=vector())
-    held = {}  # 4 t -> (t, the cosines of t)
-    found = {}
-    for tau in order:
-        if tau in direct:
-            cos = proj if tau == direct[-1] else vector()
-            np.multiply(proj, math.sqrt(tau), out=cos)
-            np.cos(cos, out=cos)
-        else:
-            quarter, q_cos = held.pop(tau)
-            cos = vector()
-            np.multiply(q_cos, q_cos, out=cos)
-            cos *= 2.0
-            cos -= 1.0
-            found[quarter] = _estimate_from_samples(q_cos, math.exp(quarter))
-            spare.append(q_cos)
-        if 4 * tau in order:
-            held[4 * tau] = (tau, cos)
-        else:
-            found[tau] = _estimate_from_samples(cos, math.exp(tau))
-            spare.append(cos)
-    return [found[tau] for tau in taus]
-
-
-def kernel_estimate(
-    u1, u2, omegas: Array, tau: float, *, work: Array | None = None
-) -> KernelEstimate:
-    """kernel_estimates at the one temperature tau."""
-    return kernel_estimates(u1, u2, omegas, (tau,), work=work)[0]
+    if work.shape != (2, m) or work.dtype != np.float64:
+        raise ContractError(f"work must be a float64 (2, {m}) array, got {work.dtype} {work.shape}")
+    proj = _projection(u1, u2, omegas, out=work[0])
+    if proj is None:
+        return [KernelEstimate(value=math.exp(tau), stderr=0.0) for tau in LADDER]
+    cos1 = np.cos(proj, out=work[1])
+    proj *= math.sqrt(2.0)
+    est2 = _estimate_from_samples(np.cos(proj, out=proj), math.exp(2.0))
+    np.multiply(cos1, cos1, out=proj)
+    proj *= 2.0
+    proj -= 1.0
+    est4 = _estimate_from_samples(proj, math.exp(4.0))
+    return [_estimate_from_samples(cos1, math.exp(1.0)), est2, est4]
 
 
 def imaginary_part_estimate(u1, u2, omegas: Array, tau: float) -> float:
     """Mean of sin(sqrt(tau) <w, u1 - u2>); vanishes in expectation by the
     symmetry of the frequency distribution."""
-    _check_tau(tau)
-    u1, u2 = _check_pair(u1, u2, omegas)
-    proj = np.matmul(omegas, u1 - u2)
+    proj = _projection(u1, u2, omegas, tau)
+    if proj is None:
+        return 0.0
     proj *= math.sqrt(tau)
     return float(np.sin(proj, out=proj).mean())
 

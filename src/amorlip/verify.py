@@ -48,10 +48,11 @@ from .numerics import (
     seeded_rng,
 )
 from .spectral import (
+    LADDER,
     check_sizes,
     imaginary_part_estimate,
     kernel_estimate,
-    kernel_estimates,
+    kernel_ladder,
     partition_estimate_mc,
     sample_features,
 )
@@ -237,10 +238,10 @@ def _pair_with_similarity(s: float) -> tuple[Array, Array]:
 
 
 def _coverage_flags(
-    seeds: list[int], taus: tuple[float, ...], sims: tuple[float, ...], m_features: int
+    seeds: list[int], sims: tuple[float, ...], m_features: int
 ) -> list[list[list[bool]]]:
-    """For each seed, in order, and each tau, whether each similarity's
-    kernel estimate lies within 3 standard errors of exp(tau * s).
+    """For each seed, in order, and each tau of the ladder, whether each
+    similarity's kernel estimate lies within 3 standard errors of exp(tau * s).
 
     Two threads take the seeds, each to whichever is free; numpy's normal
     draw and cos release the GIL. A trial draws its seed once into one of
@@ -258,12 +259,12 @@ def _coverage_flags(
         buf, work = slots.get()
         try:
             omegas = sample_features(m_features, 2, seed, out=buf)
-            per_s = [kernel_estimates(*_pair_with_similarity(s), omegas, taus, work=work) for s in sims]
+            per_s = [kernel_ladder(*_pair_with_similarity(s), omegas, work) for s in sims]
         finally:
             slots.put((buf, work))
         return [
             [abs(e.value - math.exp(tau * s)) <= 3.0 * e.stderr for s, e in zip(sims, per_tau)]
-            for tau, per_tau in zip(taus, zip(*per_s))
+            for tau, per_tau in zip(LADDER, zip(*per_s))
         ]
 
     with ThreadPoolExecutor(2, thread_name_prefix="spectral-coverage") as pool:
@@ -278,12 +279,11 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
     checks = []
     d_pair = 2  # the pair checks
     d = 4  # the partition check's batches
-    taus = (1.0, 2.0, 4.0)
     sims = (-0.5, 0.0, 0.5, 1.0)
 
     # 3-standard-error coverage of the kernel estimate, per (tau, s)
-    flags = _coverage_flags([90_000 + trial for trial in range(trials)], taus, sims, m_features)
-    for ti, tau in enumerate(taus):
+    flags = _coverage_flags([90_000 + trial for trial in range(trials)], sims, m_features)
+    for ti, tau in enumerate(LADDER):
         worst_fraction = min(sum(col) / trials for col in zip(*(rows[ti] for rows in flags)))
         checks.append(
             _check(f"spectral/coverage_tau_{tau:g}", worst_fraction, 0.95, worst_fraction >= 0.95)

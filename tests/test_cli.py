@@ -1,12 +1,19 @@
 import json
 import math
+import os
+import signal
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 from unittest.mock import ANY
 
 import numpy as np
 import pytest
 
+import amorlip
 from amorlip.cli import main
 from amorlip.data import dataset_file_size, generate_synthetic, save_dataset
 from amorlip.trainer import (
@@ -317,6 +324,36 @@ class TestTrain:
         assert message.startswith("amorlip: training diverged: optimizer step ")
         assert "overflow" in message
         assert json.loads(snapshot)["step"] >= 1
+
+    def test_interrupt_exits_130_with_one_line(self, data_path, tmp_path):
+        # a run far longer than the test, stopped by SIGINT once it has
+        # written a metrics line
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"epochs": 100_000, "batch_size": 16, "t_online": 2}))
+        metrics = tmp_path / "m.jsonl"
+        src = str(Path(amorlip.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "amorlip", "train", "--data", str(data_path),
+             "--config", str(cfg), "--metrics", str(metrics)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            # a job a shell puts in the background inherits SIGINT ignored
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (metrics.exists() and "\n" in metrics.read_text()):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "no metrics line within 60 s"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once the run has exited
+        assert proc.returncode == 130
+        assert err.splitlines() == ["amorlip: interrupted"]
+        assert out == ""
 
 
 class TestEval:
@@ -788,6 +825,9 @@ FAILURES = [
           f"amorlip: need m_features >= 1 and dim >= 1, got {m}, 2") for m in (0, -5)],
     row("verify-spectral-feature-bound", f"verify spectral --features {MAX_FEATURES + 1}", 1,
         f"amorlip: spectral suite takes at most {MAX_FEATURES} features, got {MAX_FEATURES + 1}"),
+    # the other suites take no feature count: the flag is refused, not ignored
+    row("verify-gradcheck-features", "verify gradcheck --features 5", 1,
+        "amorlip: --features applies to the spectral suite only"),
     row("verify-unknown-suite", "verify nonsense", 1, *USAGE_VERIFY,
         "amorlip verify: error: argument suite: invalid choice: 'nonsense' "
         "(choose from 'gradcheck', 'spectral', 'schedules', 'equivalence')"),

@@ -10,10 +10,11 @@ from amorlip.errors import ContractError, DomainError
 from amorlip.numerics import seeded_rng
 from amorlip.spectral import (
     CHUNK,
+    LADDER,
     KernelEstimate,
     imaginary_part_estimate,
     kernel_estimate,
-    kernel_estimates,
+    kernel_ladder,
     partition_estimate_mc,
     sample_features,
 )
@@ -53,7 +54,6 @@ class TestSampleFeatures:
         u1, u2 = pair_with_similarity(2, 0.5)
         for estimate in (
             lambda tau: kernel_estimate(u1, u2, omegas, tau),
-            lambda tau: kernel_estimates(u1, u2, omegas, (1.0, tau)),
             lambda tau: imaginary_part_estimate(u1, u2, omegas, tau),
             lambda tau: partition_estimate_mc(u1[None, :], EmbeddingBatch(u2[None, :]), omegas, tau),
         ):
@@ -111,7 +111,7 @@ class TestKernelEstimate:
 
 
 class TestKernelEstimates:
-    TAUS = (1.0, 2.0, 4.0)
+    # kernel_ladder: kernel_estimate at tau 1, 2 and 4 from one projection
 
     @pytest.mark.parametrize("m", [1, 2, CHUNK + 1, 200_000])
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5])
@@ -120,9 +120,14 @@ class TestKernelEstimates:
         # tau 1's, which rounds differently from a direct cosine
         omegas = sample_features(m, 2, seed=26)
         u1, u2 = pair_with_similarity(2, s)
-        together = kernel_estimates(u1, u2, omegas, self.TAUS)
-        alone = [kernel_estimate(u1, u2, omegas, tau) for tau in self.TAUS]
+        together = kernel_ladder(u1, u2, omegas, np.empty((2, m)))
+        alone = [kernel_estimate(u1, u2, omegas, tau) for tau in LADDER]
         assert same_bits(together[0], alone[0]) and same_bits(together[1], alone[1])
+        cos = np.cos(omegas @ (u1 - u2))
+        double_angle = cos * cos
+        double_angle *= 2.0
+        double_angle -= 1.0
+        assert same_bits(together[2], reference_estimate(double_angle, math.exp(4.0)))
         tol = 1e-12 * math.exp(4.0)
         assert math.isclose(together[2].value, alone[2].value, rel_tol=0.0, abs_tol=tol)
         assert math.isclose(together[2].stderr, alone[2].stderr, rel_tol=0.0, abs_tol=tol)
@@ -130,22 +135,9 @@ class TestKernelEstimates:
     def test_identical_inputs_exact_at_every_tau(self):
         omegas = sample_features(64, 2, seed=27)
         u = np.array([0.6, 0.8])
-        assert kernel_estimates(u, u.copy(), omegas, self.TAUS) == [
-            KernelEstimate(math.exp(tau), 0.0) for tau in self.TAUS
+        assert kernel_ladder(u, u.copy(), omegas, np.empty((2, 64))) == [
+            KernelEstimate(math.exp(tau), 0.0) for tau in LADDER
         ]
-
-    @pytest.mark.parametrize(
-        "taus", [(4.0, 1.0), (1.0, 4.0, 16.0), (2.0, 2.0, 8.0), (0.25, 3.0, 1.0), ()]
-    )
-    def test_any_order_and_repeats(self, taus):
-        # each estimate is reported at its tau's place, whatever the order
-        omegas = sample_features(CHUNK + 1, 2, seed=28)
-        u1, u2 = pair_with_similarity(2, 0.5)
-        got = kernel_estimates(u1, u2, omegas, taus, work=np.empty((2, CHUNK + 1)))
-        assert len(got) == len(taus)
-        for tau, est in zip(taus, got):
-            want = kernel_estimate(u1, u2, omegas, tau)
-            assert abs(est.value - want.value) <= 1e-12 * math.exp(tau)
 
 
 class TestPartitionEstimate:
@@ -300,34 +292,33 @@ class TestBitIdentity:
             sample_features(8, 2, seed=51, out=out)
 
     @pytest.mark.parametrize("m", BOUNDARY_M)
-    def test_kernel_into_work(self, m):
+    @pytest.mark.parametrize("calls", [1, 2, 3])
+    def test_kernels_into_work_rows(self, m, calls):
+        # one work array lent to successive pairs, as the coverage loop
+        # lends it: each call's figures are those of a fresh array
         omegas = sample_features(m, 4, seed=52)
-        u1, u2 = unit_rows(53, 2, 4)
-        work = np.empty(m)
-        assert same_bits(
-            kernel_estimate(u1, u2, omegas, 2.0, work=work), kernel_estimate(u1, u2, omegas, 2.0)
-        )
-
-    @pytest.mark.parametrize("m", BOUNDARY_M)
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_kernels_into_work_rows(self, m, rows):
-        omegas = sample_features(m, 4, seed=52)
-        u1, u2 = unit_rows(53, 2, 4)
-        taus = (1.0, 2.0, 4.0)
-        fresh = kernel_estimates(u1, u2, omegas, taus)
-        lent = kernel_estimates(u1, u2, omegas, taus, work=np.empty((rows, m)))
-        assert all(same_bits(a, b) for a, b in zip(fresh, lent))
+        pairs = unit_rows(53, 2 * calls, 4)
+        work = np.full((2, m), np.nan)
+        for u1, u2 in zip(pairs[::2], pairs[1::2]):
+            lent = kernel_ladder(u1, u2, omegas, work)
+            fresh = kernel_ladder(u1, u2, omegas, np.empty((2, m)))
+            assert all(same_bits(a, b) for a, b in zip(lent, fresh))
 
     @pytest.mark.parametrize(
         "work",
-        [np.empty(15), np.empty(16, np.float32), np.empty((2, 15)), np.empty((1, 2, 16)), np.empty(())],
+        [
+            np.empty(16), np.empty((2, 16), np.float32), np.empty((2, 15)),
+            np.empty((1, 2, 16)), np.empty(()),
+        ],
         ids=["shape", "dtype", "row-length", "rank-3", "rank-0"],
     )
     def test_wrong_work_rejected(self, work):
+        # only a float64 (2, m_features) array, checked before the
+        # identical-input shortcut
         omegas = sample_features(16, 2, seed=59)
         u = np.array([1.0, 0.0])
-        with pytest.raises(ContractError, match="work must be"):
-            kernel_estimate(u, u.copy(), omegas, 1.0, work=work)
+        with pytest.raises(ContractError, match=r"work must be a float64 \(2, 16\) array"):
+            kernel_ladder(u, u.copy(), omegas, work)
 
     @pytest.mark.parametrize("m", [m for m, _ in OMEGA_SHAPES])
     def test_two_coordinate_draw_is_leading_columns(self, m):

@@ -116,7 +116,7 @@ def test_coverage_flags_match_sequential_trials(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        flags = verify_mod._coverage_flags(seeds, TAUS, SIMS, 40)
+        flags = verify_mod._coverage_flags(seeds, SIMS, 40)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(drawn) == seeds  # once per seed, at every tau
@@ -137,7 +137,7 @@ def test_coverage_loop_cosines_per_seed(monkeypatch):
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "cos", cos)
-    verify_mod._coverage_flags(seeds, TAUS, SIMS, m)
+    verify_mod._coverage_flags(seeds, SIMS, m)
     assert len(calls) == 6 * len(seeds)
 
 
@@ -182,7 +182,7 @@ def test_first_trial_error_cancels_the_rest(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "sample_features", sample_features)
     with pytest.raises(ContractError, match="planted in the first trial"):
-        verify_mod._coverage_flags(seeds, TAUS, SIMS, 200_000)
+        verify_mod._coverage_flags(seeds, SIMS, 200_000)
     assert seeds[0] in started
     assert len(started) < len(seeds) // 2
 
@@ -199,11 +199,11 @@ def test_coverage_loop_holds_two_slots():
     # allocates no feature-length array of its own
     m = 200_000
     seeds = [90_000 + k for k in range(6)]
-    verify_mod._coverage_flags(seeds[:1], TAUS, SIMS, 1)  # numpy.random's first seeding, once
+    verify_mod._coverage_flags(seeds[:1], SIMS, 1)  # numpy.random's first seeding, once
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        flags = verify_mod._coverage_flags(seeds, TAUS, SIMS, m)
+        flags = verify_mod._coverage_flags(seeds, SIMS, m)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
