@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .encoders import EmbeddingBatch, scaled_similarity
+from .encoders import EmbeddingBatch, similarity_matrix
 from .errors import ContractError, DegenerateInputError, DomainError
 from .net import Mlp
-from .numerics import Array, ParamStore, row_logsumexp
+from .numerics import Array, ParamStore, row_logsumexp_inplace
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +105,19 @@ def exact_partition(
     diagonal dropped; mean semantics keep the value scale-consistent when
     the same definition is evaluated over slices of different sizes.
     """
-    # only tau * S is kept: S freed here is one n x n array fewer in the logsumexp
-    scaled = scaled_similarity(emb_l, emb_lp, tau)[2]
+    # one n x n buffer: S, scaled in place (the bits of tau * S), then the logsumexp's
+    scaled = similarity_matrix(emb_l, emb_lp)
     n = scaled.shape[0]
+    if n < 1:
+        raise DegenerateInputError(f"batch of {n} below the minimum of 1")
+    scaled *= tau
     if include_positive:
-        log_z = row_logsumexp(scaled) - math.log(n)
+        log_z = row_logsumexp_inplace(scaled) - math.log(n)
     else:
         if n < 2:
             raise DegenerateInputError("cannot exclude the positive from a one-sample batch")
         np.fill_diagonal(scaled, -np.inf)
-        log_z = row_logsumexp(scaled) - math.log(n - 1)
+        log_z = row_logsumexp_inplace(scaled) - math.log(n - 1)
     return PartitionEstimate(log_z_exact=log_z)
 
 

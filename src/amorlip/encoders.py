@@ -142,7 +142,7 @@ def scaled_similarity(
     emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, tau: float, min_n: int = 1
 ) -> tuple[int, Array, Array]:
     """(n, S, tau * S) for two batches of at least min_n rows: the one checked
-    score matrix that the losses and the exact partitions start from."""
+    score matrix that the losses start from."""
     s = similarity_matrix(emb_a, emb_b)
     n = emb_a.n
     if n < min_n:

@@ -26,18 +26,23 @@ def seeded_rng(*key: int) -> np.random.Generator:
 
 
 def row_logsumexp(mat: Array) -> Array:
-    """Row-wise logsumexp of a 2-D array.
+    """row_logsumexp_inplace on a copy of mat, which is not written."""
+    return row_logsumexp_inplace(np.array(mat, dtype=np.float64))
+
+
+def row_logsumexp_inplace(mat: Array) -> Array:
+    """Row-wise logsumexp of a float64 2-D array, which it overwrites.
 
     -inf entries are allowed as masks, as long as no row is entirely -inf.
-    The exp and log run in place on fresh temporaries, which gives the bits
-    of m + log(sum(exp(mat - m), axis=1)).
+    The shift, exp and log run in place, which gives the bits of
+    m + log(sum(exp(mat - m), axis=1)).
     """
     m = np.maximum.reduce(mat, axis=1, keepdims=True)
     if not np.isfinite(m).all():
         raise DomainError("row_logsumexp: a row has no finite entry")
-    shifted = mat - m
-    np.exp(shifted, out=shifted)
-    out = np.add.reduce(shifted, axis=1, keepdims=True)
+    mat -= m
+    np.exp(mat, out=mat)
+    out = np.add.reduce(mat, axis=1, keepdims=True)
     np.log(out, out=out)
     out += m
     return out.ravel()
@@ -239,21 +244,22 @@ class AdamW:
             raise DomainError(f"optimizer step {self.t} is not finite ({exc})") from None
 
 
-def finite_difference_gradient(f: Callable[[Array], float], x, h: float = 1e-6) -> Array:
-    """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h) per coordinate."""
+def finite_difference_gradient(f: Callable[[Array], float | Array], x, h: float = 1e-6) -> Array:
+    """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h) per coordinate.
+    A scalar f gives a (P,) gradient; f with k values gives (k, P), one row each."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    g = np.empty_like(x)
+    cols = []
     for i in range(x.size):
         xp = x.copy()
         xp[i] += h
         xm = x.copy()
         xm[i] -= h
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
+        fp = np.asarray(f(xp), dtype=np.float64)
+        fm = np.asarray(f(xm), dtype=np.float64)
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise OracleError(f"non-finite evaluation while perturbing coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
+        cols.append((fp - fm) / (2.0 * h))
+    return np.array(cols, dtype=np.float64).T
 
 
 def gradcheck_error(analytic, numeric) -> float:

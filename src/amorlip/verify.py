@@ -33,6 +33,7 @@ from .amortization import (
 from .encoders import EmbeddingBatch, encode, encoder_backward, init_encoders
 from .errors import ConfigError
 from .losses import (
+    LossOutput,
     amortized_mle_loss,
     mle_gradient_equivalence_check,
     nce_loss,
@@ -84,24 +85,32 @@ def _unit_batch(rng: np.random.Generator, n: int, d: int) -> EmbeddingBatch:
 
 
 def _gradcheck_params(
-    blocks: list[ParamBlock], value: Callable[[], float], backward: Callable[[], None]
-) -> float:
-    """FD check of value() over the blocks' parameters against the
-    gradient that backward() accumulates into them."""
+    blocks: list[ParamBlock],
+    values: Callable[[], list[float]],
+    backwards: dict[str, Callable[[], None]],
+) -> dict[str, float]:
+    """FD check over the blocks' parameters, by check name: values() gives
+    one value per backward, in the same order, and each is checked against
+    the gradient that its backward accumulates. One FD sweep serves all."""
     store = ParamStore(blocks)
     x0 = store.value.copy()
+    grads = {}
+    for name, backward in backwards.items():
+        store.zero_grad()
+        backward()
+        grads[name] = store.grad.copy()
 
-    def f(flat: Array) -> float:
+    def f(flat: Array) -> list[float]:
         store.value[...] = flat
-        return value()
+        return values()
 
-    store.zero_grad()
-    backward()
-    return gradcheck_error(store.grad, finite_difference_gradient(f, x0, FD_STEP))
+    numeric = finite_difference_gradient(f, x0, FD_STEP)
+    return {name: gradcheck_error(g, row) for (name, g), row in zip(grads.items(), numeric)}
 
 
-def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
-    """FD check over both embedding batches and log(tau) for a pair loss."""
+def _gradcheck_pair_losses(seed: int) -> dict[str, float]:
+    """FD check over both embedding batches and log(tau) for the NCE loss,
+    the amortized MLE loss and the temperature-rescaled NCE loss."""
     rng = seeded_rng(9100, seed)
     n = int(rng.integers(2, 9))
     d = int(rng.integers(2, 17))
@@ -113,33 +122,31 @@ def _gradcheck_pair_loss(loss_kind: str, seed: int) -> float:
     log_lam_b = rng.standard_normal(n)
     rho = float(rng.uniform(-8.0, 8.0))
 
-    def raw_loss(t: float):
+    def losses(t: float) -> tuple[LossOutput, LossOutput]:
         ea, eb = EmbeddingBatch(a.value), EmbeddingBatch(b.value)
-        if loss_kind == "mle":
-            return amortized_mle_loss(ea, eb, t, log_lam_a, log_lam_b)
-        return nce_loss(ea, eb, t)
+        return nce_loss(ea, eb, t), amortized_mle_loss(ea, eb, t, log_lam_a, log_lam_b)
 
-    def value() -> float:
+    def values() -> list[float]:
         t = math.exp(float(log_tau.value[0, 0]))
-        if loss_kind == "rescale":
-            return raw_loss(t).value / tau + rho / t  # divisor frozen at the base tau
-        return raw_loss(t).value
+        nce, mle = losses(t)
+        return [nce.value, mle.value, nce.value / tau + rho / t]  # rescaled by the base tau
 
-    def backward() -> None:
-        # at the drawn tau: exp(log(tau)) can differ from it in the last bit
-        out = raw_loss(tau)
-        if loss_kind == "rescale":
-            out = temperature_rescale(out, tau, rho)
+    def accumulate(out: LossOutput) -> None:
         a.grad += out.grad_a
         b.grad += out.grad_b
         log_tau.grad += out.tau_grad * tau
 
-    return _gradcheck_params([a, b, log_tau], value, backward)
+    # at the drawn tau: exp(log(tau)) can differ from it in the last bit
+    return _gradcheck_params([a, b, log_tau], values, {
+        "nce_loss": lambda: accumulate(losses(tau)[0]),
+        "amortized_mle_loss": lambda: accumulate(losses(tau)[1]),
+        "temperature_rescale": lambda: accumulate(temperature_rescale(losses(tau)[0], tau, rho)),
+    })
 
 
-def _gradcheck_amortizer_loss(seed: int, gen: DivergenceGenerator | None = None) -> float:
-    """FD check over the amortizer parameters for one amortization loss:
-    the l2log objective, or the divergence objective with generator gen."""
+def _gradcheck_amortizer_losses(seed: int) -> dict[str, float]:
+    """FD check over the amortizer parameters for the l2log objective and
+    the divergence objective under each generator."""
     rng = seeded_rng(9200, seed)
     n = int(rng.integers(2, 9))
     d = int(rng.integers(2, 13))
@@ -148,31 +155,25 @@ def _gradcheck_amortizer_loss(seed: int, gen: DivergenceGenerator | None = None)
     tau = float(rng.uniform(0.5, 2.0))
     log_z = exact_partition(emb, other, tau).log_z_exact
     theta = init_amortizer(d, 0.5, "a", (seed, 9201))
-    if gen is None:
+    weights = fdiv_weights(emb.data @ other.data.T, tau, log_z)
 
-        def loss(log_lam: Array) -> tuple[float, Array]:
-            return loss_l2log_values(log_lam, log_z)
+    def values() -> list[float]:
+        log_lam = amortize_forward(theta, emb)[0]
+        fdiv = [loss_fdiv_values(log_lam, log_z, g, weights)[0] for g in GENERATORS.values()]
+        return [loss_l2log_values(log_lam, log_z)[0], *fdiv]
 
-        def backward() -> None:
-            loss_l2log(theta, emb, log_z)
+    def fdiv_backward(gen: DivergenceGenerator) -> None:
+        # the path the trainer takes for the divergence objective
+        log_lam, cache = amortize_forward(theta, emb)
+        amortize_backward(cache, loss_fdiv_values(log_lam, log_z, gen, weights)[1])
 
-    else:
-        weights = fdiv_weights(emb.data @ other.data.T, tau, log_z)
-
-        def loss(log_lam: Array) -> tuple[float, Array]:
-            return loss_fdiv_values(log_lam, log_z, gen, weights)
-
-        def backward() -> None:
-            # the path the trainer takes for the divergence objective
-            log_lam, cache = amortize_forward(theta, emb)
-            amortize_backward(cache, loss(log_lam)[1])
-
+    fdiv = {f"loss_fdiv_{g.name}": lambda g=g: fdiv_backward(g) for g in GENERATORS.values()}
     return _gradcheck_params(
-        theta.blocks(), lambda: loss(amortize_forward(theta, emb)[0])[0], backward
+        theta.blocks(), values, {"loss_l2log": lambda: loss_l2log(theta, emb, log_z), **fdiv}
     )
 
 
-def _gradcheck_encoder(seed: int) -> float:
+def _gradcheck_encoder(seed: int) -> dict[str, float]:
     """FD check over encoder parameters against a linear probe of the embeddings."""
     rng = seeded_rng(9300, seed)
     n = int(rng.integers(2, 7))
@@ -183,12 +184,12 @@ def _gradcheck_encoder(seed: int) -> float:
     probe = rng.standard_normal((n, d))
     return _gradcheck_params(
         params.nets["a"].blocks(),
-        lambda: float(np.sum(encode(params, x, "a")[0].data * probe)),
-        lambda: encoder_backward(encode(params, x, "a")[1], probe),
+        lambda: [float(np.sum(encode(params, x, "a")[0].data * probe))],
+        {"encoder_backward": lambda: encoder_backward(encode(params, x, "a")[1], probe)},
     )
 
 
-def _gradcheck_amortize_forward(seed: int) -> float:
+def _gradcheck_amortize_forward(seed: int) -> dict[str, float]:
     """FD check over amortizer parameters against a linear probe of log lambda."""
     rng = seeded_rng(9400, seed)
     n = int(rng.integers(2, 9))
@@ -198,29 +199,21 @@ def _gradcheck_amortize_forward(seed: int) -> float:
     theta = init_amortizer(d, 0.75, "a", (seed, 9401))
     return _gradcheck_params(
         theta.blocks(),
-        lambda: float(np.dot(amortize_forward(theta, emb)[0], probe)),
-        lambda: amortize_backward(amortize_forward(theta, emb)[1], probe),
+        lambda: [float(np.dot(amortize_forward(theta, emb)[0], probe))],
+        {"amortize_forward": lambda: amortize_backward(amortize_forward(theta, emb)[1], probe)},
     )
 
 
 def suite_gradcheck(instances: int = 20) -> list[dict]:
-    checks = []
-    families = [
-        ("gradcheck/nce_loss", lambda s: _gradcheck_pair_loss("nce", s)),
-        ("gradcheck/amortized_mle_loss", lambda s: _gradcheck_pair_loss("mle", s)),
-        ("gradcheck/temperature_rescale", lambda s: _gradcheck_pair_loss("rescale", s)),
-        ("gradcheck/loss_l2log", _gradcheck_amortizer_loss),
-        ("gradcheck/encoder_backward", _gradcheck_encoder),
-        ("gradcheck/amortize_forward", _gradcheck_amortize_forward),
-    ]
-    for gen in GENERATORS.values():
-        families.append(
-            (f"gradcheck/loss_fdiv_{gen.name}", lambda s, g=gen: _gradcheck_amortizer_loss(s, g))
-        )
-    for name, fn in families:
-        worst = max(fn(s) for s in range(instances))
-        checks.append(_check(name, worst, GRAD_TOL, worst < GRAD_TOL))
-    return checks
+    worst: dict[str, float] = {}
+    for group in (_gradcheck_pair_losses, _gradcheck_amortizer_losses,
+                  _gradcheck_encoder, _gradcheck_amortize_forward):
+        for s in range(instances):
+            for name, error in group(s).items():
+                worst[name] = max(worst.get(name, error), error)
+    # the divergence families print last, as they always have
+    names = sorted(worst, key=lambda name: name.startswith("loss_fdiv_"))
+    return [_check(f"gradcheck/{n}", worst[n], GRAD_TOL, worst[n] < GRAD_TOL) for n in names]
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,14 @@ class TestExactPartition:
         with pytest.raises(DegenerateInputError):
             exact_partition(emb, emb, 1.0, include_positive=False)
 
+    def test_empty_batch_rejected(self):
+        emb = EmbeddingBatch(np.zeros((0, 3)))
+        with pytest.raises(DegenerateInputError, match=r"^batch of 0 below the minimum of 1$"):
+            exact_partition(emb, emb, 1.0)
+
     @pytest.mark.parametrize("include_positive", [True, False])
-    def test_holds_two_score_matrices(self, include_positive):
-        # tau * S and the logsumexp's shifted copy; S itself is not kept
+    def test_holds_one_score_matrix(self, include_positive):
+        # S, scaled in place, is also the logsumexp's buffer
         n = 1000
         rng = seeded_rng(63)
         emb_l, emb_lp = unit_batch(rng, n, 8), unit_batch(rng, n, 8)
@@ -107,7 +112,7 @@ class TestExactPartition:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * n * n * 8 + (1 << 20)
+        assert peak <= n * n * 8 + (1 << 20)
 
 
 class TestAmortizeForward:

@@ -298,6 +298,37 @@ class TestFiniteDifferenceGradient:
         with pytest.raises(OracleError, match="coordinate 1"):
             finite_difference_gradient(f, np.array([0.0, 0.5, 0.0]), 1e-3)
 
+    def test_scalar_f_without_coordinates(self):
+        g = finite_difference_gradient(lambda x: 1.0, np.zeros(0), 1e-6)
+        assert g.shape == (0,) and g.dtype == np.float64
+
+    @pytest.mark.parametrize("p", [1, 2, 7])
+    def test_vector_f_rows_equal_scalar_sweeps(self, p):
+        rng = seeded_rng(71, p)
+        x0 = rng.standard_normal(p)
+        w = rng.standard_normal((3, p))
+        parts = [
+            lambda x: float(np.sum(np.sin(w[0] * x))),
+            lambda x: float(np.dot(w[1], x) ** 2),
+            lambda x: float(np.exp(np.dot(w[2], x) / p)),
+        ]
+        g = finite_difference_gradient(lambda x: [f(x) for f in parts], x0, 1e-6)
+        assert g.shape == (3, p)
+        for row, f in zip(g, parts):
+            assert row.tobytes() == finite_difference_gradient(f, x0, 1e-6).tobytes()
+
+    @pytest.mark.parametrize("entry", [0, 2])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_vector_f_non_finite_entry_reports_coordinate(self, entry, bad):
+        def f(x):
+            out = [0.0, float(x[0]), 1.0]
+            if x[2] < -0.5:
+                out[entry] = bad
+            return out
+
+        with pytest.raises(OracleError, match="coordinate 2"):
+            finite_difference_gradient(f, np.array([0.0, 0.5, -0.5]), 1e-3)
+
 
 class TestErrorMetrics:
     def test_gradcheck_error_is_norm_relative(self):

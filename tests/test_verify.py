@@ -85,6 +85,26 @@ def test_gradcheck_reaches_each_generator(monkeypatch):
     assert set(seen) == set(GENERATORS)
 
 
+@pytest.mark.parametrize("instances", [1, 3])
+def test_gradcheck_one_sweep_per_draw(monkeypatch, instances):
+    # per seed, one FD sweep for each parameter draw: the pair losses, the
+    # amortizer losses, the encoder and amortize_forward
+    sweeps = []
+    real = verify_mod.finite_difference_gradient
+
+    def finite_difference_gradient(f, x, h):
+        sweeps.append(x)
+        return real(f, x, h)
+
+    monkeypatch.setattr(verify_mod, "finite_difference_gradient", finite_difference_gradient)
+    checks = suite_gradcheck(instances=instances)
+    assert len(sweeps) == 4 * instances
+    fdiv = [f"loss_fdiv_{g}" for g in ("kl", "kl_affine", "js", "l2log")]
+    names = ["nce_loss", "amortized_mle_loss", "temperature_rescale", "loss_l2log"]
+    names += ["encoder_backward", "amortize_forward", *fdiv]
+    assert [c["check"] for c in checks] == [f"gradcheck/{n}" for n in names]
+
+
 def sequential_flags(seeds, taus, m):
     """The coverage flags from a fresh draw per (seed, tau), one at a time."""
     flags = []
