@@ -29,6 +29,7 @@ from .trainer import (
     TRAIN_GENERATORS,
     MetricsWriter,
     TrainConfig,
+    check_run,
     checkpoint_save,
     load_eval_model,
     run_training,
@@ -126,24 +127,17 @@ def _cmd_train(args) -> int:
     if args.config is not None:
         with _io("read config"):
             cfg = TrainConfig.from_file(args.config)
-    overrides = {
-        k: v
-        for k, v in (
-            ("method", args.method),
-            ("objective", args.objective),
-            ("generator", args.generator),
-            ("seed", args.seed),
-        )
-        if v is not None
-    }
+    flags = ("method", "objective", "generator", "seed")
+    overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     if cfg.method == "clip" and (args.objective is not None or args.generator is not None):
         print("warning: --method clip ignores amortization flags", file=sys.stderr)
 
     with _io("read dataset"):
         ds = load_dataset(args.data)
+    # fail before the first step, not after the last, and leave every output file as it was
+    check_run(cfg, ds.n)
     if args.checkpoint is not None:
-        # fail before the first step, not after the last
         with _io("write checkpoint"):
             check_writable(args.checkpoint)
     with _io("write metrics"):

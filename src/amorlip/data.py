@@ -210,11 +210,15 @@ def make_batch_plan(n: int, batch_size: int, seed: int, epoch: int) -> Array:
     return perm[: n - n % batch_size].reshape(-1, batch_size)
 
 
+def eval_size(n: int, eval_fraction: float) -> int:
+    """How many of n samples split_eval holds out: at least one, and one fewer than n at most."""
+    if n < 2:
+        raise ConfigError(f"need at least 2 samples to hold out an eval split, got n={n}")
+    return min(max(int(round(n * eval_fraction)), 1), n - 1)
+
+
 def split_eval(ds: PairedDataset, eval_fraction: float, seed: int):
     """Hold out a seeded permutation slice for evaluation; returns (train, eval)."""
-    if ds.n < 2:
-        raise ConfigError(f"need at least 2 samples to hold out an eval split, got n={ds.n}")
-    n_eval = int(round(ds.n * eval_fraction))
-    n_eval = min(max(n_eval, 1), ds.n - 1)
+    n_eval = eval_size(ds.n, eval_fraction)
     perm = seeded_rng(seed, SPLIT_SEED_SALT).permutation(ds.n)
     return ds.subset(perm[n_eval:]), ds.subset(perm[:n_eval])

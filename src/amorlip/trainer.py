@@ -41,7 +41,7 @@ from .amortization import (
     loss_l2log,
     loss_l2log_values,
 )
-from .data import PairedDataset, make_batch_plan, split_eval, write_atomic
+from .data import PairedDataset, eval_size, make_batch_plan, split_eval, write_atomic
 from .encoders import (
     MODALITIES,
     EmbeddingBatch,
@@ -75,11 +75,28 @@ CONFIG_CHOICES = {
     "include_positive": (False, True),
 }
 
+# the interval each other config field may take: [ and ] take an end in, ( and ) leave it out
+CONFIG_BOUNDS = {
+    "epochs": "[1, inf)", "batch_size": "[2, inf)", "embed_dim": "[1, inf)",
+    "encoder_hidden": "[1, inf)", "encoder_depth": "[0, inf)", "f_d": "(0, inf)",
+    "t_lambda": "[1, inf)", "t_online": "[1, inf)", "t_target": "[1, inf)",
+    "alpha": "[0, 1]", "beta_final": "[0, 1]", "lr_encoder": "(0, inf)", "lr_amortizer": "(0, inf)",
+    "weight_decay": "[0, inf)", "fdiv_l2log_coef": "[0, inf)", "rho_main": "(-inf, inf)",
+    "rho_anneal": "(-inf, inf)", "anneal_start_fraction": "[0, 1]", "tau_init": "(0, inf)",
+    "tau_max": "(0, inf)", "eval_fraction": "(0, 1)", "seed": "[0, inf)", "log_every": "[1, inf)",
+}
+
 CKPT_MAGIC = b"AMCK1\n"
 # a checkpoint stores every config field as a float64, which holds every
 # integer below this exactly
 INT_LIMIT = 2**53
 COUNTERS = ("epoch", "step_in_epoch", "global_step", "gather_count")
+
+
+def _within(value: float, interval: str) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    return above and (value <= high if interval[-1] == "]" else value < high)
 
 
 def _parse_int(text: str) -> int:
@@ -132,59 +149,46 @@ class TrainConfig:
 
     def validate(self) -> None:
         for field in dataclasses.fields(self):
-            # every comparison with NaN is false, so the range checks below
-            # would pass it; an infinity would pass the one-sided ones. A
-            # float field takes ints, which may not fit a float64 at all.
-            value = getattr(self, field.name)
-            if isinstance(value, float) or type(field.default) is float:
+            key, value, kind = field.name, getattr(self, field.name), type(field.default)
+            # each default has its field's type; nothing is coerced, a float
+            # field takes ints, and only a bool field takes bools
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+                raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+            choices = CONFIG_CHOICES.get(key)
+            if choices is not None:
+                if value not in choices:
+                    raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
+                continue
+            # a float field's value must be finite, and an int there must fit a
+            # float64: 10**400 lies in (0, inf) as a Python int
+            if kind is float:
                 try:
                     finite = math.isfinite(value)
                 except OverflowError:
-                    raise ConfigError(
-                        f"config key {field.name!r} must fit a float64 (magnitude at most"
-                        " 1.8e308), got a larger integer"
-                    ) from None
+                    raise ConfigError(f"config key {key!r} must fit a float64 (magnitude at most"
+                                      " 1.8e308), got a larger integer") from None
                 if not finite:
-                    raise ConfigError(f"config key {field.name!r} must be finite, got {value!r}")
-            if type(field.default) is int and value >= INT_LIMIT:
+                    raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+            elif value >= INT_LIMIT:
                 raise ConfigError(
-                    f"config key {field.name!r} must be below 2**53, since a checkpoint stores"
+                    f"config key {key!r} must be below 2**53, since a checkpoint stores"
                     f" it as a float64, got {value}"
                 )
-        for key, choices in CONFIG_CHOICES.items():
-            if getattr(self, key) not in choices:
-                raise ConfigError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
-        if self.epochs < 1 or self.batch_size < 2:
-            raise ConfigError(f"need epochs >= 1 and batch_size >= 2, got {self.epochs}, {self.batch_size}")
-        if min(self.t_lambda, self.t_online, self.t_target) < 1:
-            raise ConfigError("t_lambda, t_online and t_target must all be >= 1")
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta_final <= 1.0):
-            raise ConfigError("alpha and beta_final must lie in [0, 1]")
-        if self.embed_dim < 1 or self.encoder_hidden < 1 or self.encoder_depth < 0:
-            raise ConfigError("invalid encoder sizes")
-        if self.f_d <= 0 or not math.isfinite(float(self.f_d) * self.embed_dim):
+            if not _within(value, CONFIG_BOUNDS[key]):
+                raise ConfigError(f"config key {key!r} must lie in {CONFIG_BOUNDS[key]}, got {value!r}")
+        if not math.isfinite(float(self.f_d) * self.embed_dim):
             raise ConfigError(
-                f"f_d must be positive, with a finite width f_d * embed_dim, got {self.f_d}"
+                f"config key 'f_d' times embed_dim {self.embed_dim} must be finite, got {self.f_d!r}"
             )
-        widths = {
-            "embed_dim": self.embed_dim,
-            "encoder_hidden": self.encoder_hidden,
-            "f_d": amortizer_hidden_dim(self.embed_dim, self.f_d),
-        }
+        widths = {"embed_dim": self.embed_dim, "encoder_hidden": self.encoder_hidden,
+                  "f_d": amortizer_hidden_dim(self.embed_dim, self.f_d)}
         for key, width in widths.items():
             if width >= 2**32:  # a checkpoint packs each block's shape as two u32
                 raise ConfigError(
                     f"config key {key!r} gives a layer width of {width:.4g}, but a checkpoint"
                     " stores widths below 2**32"
                 )
-        if self.lr_encoder <= 0 or self.lr_amortizer <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.weight_decay < 0 or self.fdiv_l2log_coef < 0:
-            raise ConfigError("weight_decay and fdiv_l2log_coef must be >= 0")
-        if not 0.0 <= self.anneal_start_fraction <= 1.0:
-            raise ConfigError("anneal_start_fraction must lie in [0, 1]")
-        if self.tau_init <= 0 or self.tau_max <= 0:
-            raise ConfigError("temperatures must be positive")
         for key in ("tau_init", "tau_max"):
             tau = float(getattr(self, key))
             if not usable_tau(tau):
@@ -192,26 +196,12 @@ class TrainConfig:
                     f"config key {key!r} must have a finite, non-zero square and inverse square,"
                     f" got {tau!r}"
                 )
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ConfigError("eval_fraction must lie in (0, 1)")
-        if self.log_every < 1:
-            raise ConfigError("log_every must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(values) - set(fields))
+        unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for name, value in values.items():
-            # each default has its field's type; nothing is coerced, a float
-            # field takes ints, and only a bool field takes bools
-            kind = type(fields[name].default)
-            accepted = (int, float) if kind is float else kind
-            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-                raise ConfigError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
         return cls(**values)
 
     @classmethod
@@ -411,6 +401,28 @@ def _steps(n: int, cfg: TrainConfig, start: int, stop: int):
         yield step, epoch + 1, k + 1, plan[k]
 
 
+def check_run(cfg: TrainConfig, n: int) -> int:
+    """The rules that tie cfg to a dataset of n samples, which train checks
+    before it opens any output file; returns the steps per epoch."""
+    n_train = n - eval_size(n, cfg.eval_fraction)
+    if n_train < cfg.batch_size:
+        raise ConfigError(f"config key 'batch_size' must be at most the {n_train} samples of"
+                          f" the training split, got {cfg.batch_size}")
+    steps_per_epoch = n_train // cfg.batch_size
+    if cfg.method == "amorlip":
+        for key in ("t_online", "t_target"):
+            # a longer cadence never fires: the amortizers or the EMA never move
+            if getattr(cfg, key) > steps_per_epoch:
+                raise ConfigError(
+                    f"config key {key!r} must be at most the {steps_per_epoch} steps per epoch,"
+                    f" got {getattr(cfg, key)}"
+                )
+        if cfg.alpha == 1:
+            # the same waste: the EMA target never leaves each epoch's fresh draw
+            raise ConfigError(f"config key 'alpha' must be below 1 for amorlip, got {cfg.alpha}")
+    return steps_per_epoch
+
+
 def run_training(
     cfg: TrainConfig,
     ds: PairedDataset,
@@ -449,24 +461,11 @@ def run_training(
     encoder output, optimizer step, divergence weight or amortizer output),
     or an update that leaves tau failing usable_tau ends the run with a
     TrainingDivergence carrying the step's record; these checks, not numpy
-    warnings, report non-finite values. For "amorlip", t_online and
-    t_target above the steps per epoch, and alpha 1, are a ConfigError.
+    warnings, report non-finite values. check_run(cfg, ds.n) runs first.
     """
     amortized = cfg.method == "amorlip"
+    steps_per_epoch = check_run(cfg, ds.n)
     train_ds, _ = split_eval(ds, cfg.eval_fraction, cfg.seed)
-    if train_ds.n < cfg.batch_size:
-        raise ConfigError("training split smaller than one batch")
-    steps_per_epoch = train_ds.n // cfg.batch_size
-    for key in ("t_online", "t_target"):
-        # a longer cadence never fires: the amortizers or the EMA never move
-        if amortized and getattr(cfg, key) > steps_per_epoch:
-            raise ConfigError(
-                f"config key {key!r} must be at most the {steps_per_epoch} steps per epoch,"
-                f" got {getattr(cfg, key)}"
-            )
-    if amortized and cfg.alpha == 1:
-        # the same waste: the EMA target never leaves each epoch's fresh draw
-        raise ConfigError(f"config key 'alpha' must be below 1 for amorlip, got {cfg.alpha}")
     state = start_state if start_state is not None else init_train_state(cfg, ds)
     total_steps = steps_per_epoch * cfg.epochs
     stop = total_steps if max_steps is None else min(max_steps, total_steps)

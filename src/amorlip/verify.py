@@ -74,7 +74,9 @@ def _check(name: str, value: float, tolerance, ok: bool) -> dict:
 
 
 def _check_count(name: str, value: int) -> None:
-    """A suite's count rule: below 1, the suite would check nothing and pass."""
+    """A suite's count rule: an int, not a bool; below 1, the suite would check nothing and pass."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be int, got {value!r}")
     if value < 1:
         raise ConfigError(f"{name} must be at least 1, got {value}")
 
@@ -270,12 +272,12 @@ def _coverage_flags(
 
 
 def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
+    _check_count("m_features", m_features)
+    _check_count("trials", trials)
     if m_features > MAX_FEATURES:
         raise ConfigError(
             f"spectral suite takes at most {MAX_FEATURES} features, got {m_features}"
         )
-    _check_count("m_features", m_features)
-    _check_count("trials", trials)
     checks = []
     d_pair = 2  # the pair checks
     d = 4  # the partition check's batches

@@ -267,13 +267,13 @@ class TestTrain:
 
     def test_negative_seed_flag_exits_1(self, data_path, capsys):
         assert main(["train", "--data", str(data_path), "--seed", "-1"]) == 1
-        assert "config key 'seed' must be a non-negative integer, got -1" in stderr_line(capsys)
+        assert "config key 'seed' must lie in [0, inf), got -1" in stderr_line(capsys)
 
     def test_negative_seed_in_config_exits_1(self, data_path, tmp_path, capsys):
         cfg = tmp_path / "seed.json"
         cfg.write_text(json.dumps({"seed": -1}))
         assert main(["train", "--data", str(data_path), "--config", str(cfg)]) == 1
-        assert "config key 'seed' must be a non-negative integer, got -1" in stderr_line(capsys)
+        assert "config key 'seed' must lie in [0, inf), got -1" in stderr_line(capsys)
 
     def test_seed_beyond_float64_integers_exits_1(self, data_path, capsys):
         # meta/seed is float64 in AMCK1: 2**53 + 1 would read back as 2**53,
@@ -560,10 +560,11 @@ USAGE_VERIFY = [
 ]
 
 
-def row(name, argv, code, *err, files=None, absent=()):
+def row(name, argv, code, *err, files=None, absent=(), kept=()):
     """A matrix row; files maps a name in the row's directory to str, bytes
-    or a writer of the file, and absent names files that must not exist."""
-    return pytest.param(argv.split(), code, list(err), files or {}, absent, id=name)
+    or a writer of the file, absent names files that must not exist, and
+    kept names files of files that must keep their bytes."""
+    return pytest.param(argv.split(), code, list(err), files or {}, absent, kept, id=name)
 
 
 def config_row(name, values, *err):
@@ -632,13 +633,23 @@ FAILURES = [
         " --checkpoint {tmp}/dir", 3,
         "amorlip: cannot write checkpoint: [Errno 21] Is a directory: '{tmp}/dir'",
         files={"tiny.json": TINY}, absent=("m.jsonl",)),
-    row("train-metrics-missing-dir", f"train --data {DATA} --metrics {{tmp}}/missing/m.jsonl", 3,
+    # a valid config: the default one's t_online 8 is over the 4 steps per
+    # epoch here, and is rejected before the metrics file is opened
+    row("train-metrics-missing-dir",
+        f"train --data {DATA} --config {{tmp}}/tiny.json --metrics {{tmp}}/missing/m.jsonl", 3,
         "amorlip: cannot write metrics: "
-        "[Errno 2] No such file or directory: '{tmp}/missing/m.jsonl'"),
-    row("train-metrics-directory", f"train --data {DATA} --metrics {{tmp}}/dir", 3,
-        "amorlip: cannot write metrics: [Errno 21] Is a directory: '{tmp}/dir'"),
+        "[Errno 2] No such file or directory: '{tmp}/missing/m.jsonl'", files={"tiny.json": TINY}),
+    row("train-metrics-directory",
+        f"train --data {DATA} --config {{tmp}}/tiny.json --metrics {{tmp}}/dir", 3,
+        "amorlip: cannot write metrics: [Errno 21] Is a directory: '{tmp}/dir'",
+        files={"tiny.json": TINY}),
+    # a rejected run leaves an existing metrics file as it was
+    row("train-rejected-keeps-metrics",
+        f"train --data {DATA} --config {{tmp}}/c.json --metrics {{tmp}}/m.jsonl", 1,
+        "amorlip: config key 't_online' must be at most the 4 steps per epoch, got 999",
+        files={"c.json": json.dumps({"t_online": 999}), "m.jsonl": "kept\n"}, kept=("m.jsonl",)),
     row("train-negative-seed-flag", f"train --data {DATA} --seed -1", 1,
-        "amorlip: config key 'seed' must be a non-negative integer, got -1"),
+        "amorlip: config key 'seed' must lie in [0, inf), got -1"),
     # meta/seed is float64 in AMCK1: 2**53 + 1 would read back as 2**53,
     # and eval would hold out a different split
     row("train-seed-beyond-2**53", f"train --data {DATA} --seed 9007199254740993", 1,
@@ -671,8 +682,7 @@ FAILURES = [
                   "tau_max")],
     # integers that fit a float64, but whose products with others do not
     config_row("config-f_d-integer-width-beyond-float64", {"f_d": 10**308},
-               "amorlip: f_d must be positive, with a finite width f_d * embed_dim,"
-               f" got {10**308}"),
+               f"amorlip: config key 'f_d' times embed_dim 32 must be finite, got {10**308}"),
     config_row("config-tau_max-integer-square-beyond-float64", {"tau_max": 10**200},
                "amorlip: config key 'tau_max' must have a finite, non-zero square"
                " and inverse square, got 1e+200"),
@@ -680,7 +690,20 @@ FAILURES = [
                "amorlip: config file holds an integer of 5000 digits,"
                " more than any config key takes"),
     config_row("config-negative-seed", {"seed": -1},
-               "amorlip: config key 'seed' must be a non-negative integer, got -1"),
+               "amorlip: config key 'seed' must lie in [0, inf), got -1"),
+    # each bound names its key, its interval and the value
+    *[config_row(f"config-{key}-{value}", {key: value},
+                 f"amorlip: config key {key!r} must lie in {interval}, got {value}")
+      for key, value, interval in [
+          ("encoder_depth", -1, "[0, inf)"), ("lr_encoder", 0, "(0, inf)"), ("alpha", 2, "[0, 1]"),
+          ("eval_fraction", 1.5, "(0, 1)"), ("epochs", 0, "[1, inf)"), ("t_lambda", 0, "[1, inf)"),
+          ("weight_decay", -1, "[0, inf)"), ("tau_init", -1, "(0, inf)"),
+          ("log_every", 0, "[1, inf)"), ("anneal_start_fraction", 2, "[0, 1]"),
+      ]],
+    # 270 training samples
+    config_row("config-batch-beyond-split", {"batch_size": 271},
+               "amorlip: config key 'batch_size' must be at most the 270 samples of the training"
+               " split, got 271"),
     # tau^2 underflows or overflows
     *[config_row(f"config-{key}-{value}", {key: value},
                  f"amorlip: config key {key!r} must have a finite, non-zero square"
@@ -835,8 +858,8 @@ FAILURES = [
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, code, err, files, absent", FAILURES)
-def test_failure_matrix(tmp_path, monkeypatch, capsys, argv, code, err, files, absent):
+@pytest.mark.parametrize("argv, code, err, files, absent, kept", FAILURES)
+def test_failure_matrix(tmp_path, monkeypatch, capsys, argv, code, err, files, absent, kept):
     monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps its usage to
     write_data(tmp_path / "train.apds")
     (tmp_path / "dir").mkdir()
@@ -848,6 +871,7 @@ def test_failure_matrix(tmp_path, monkeypatch, capsys, argv, code, err, files, a
             path.write_bytes(content)
         else:
             content(path)
+    before = {name: (tmp_path / name).read_bytes() for name in kept}
 
     def fill(text):
         return text.replace("{tmp}", str(tmp_path))
@@ -859,3 +883,4 @@ def test_failure_matrix(tmp_path, monkeypatch, capsys, argv, code, err, files, a
     assert [json.loads(got) if isinstance(w, dict) else got for got, w in zip(lines, want)] == want
     assert not list(tmp_path.rglob("*.tmp"))
     assert not [name for name in absent if (tmp_path / name).exists()]
+    assert {name: (tmp_path / name).read_bytes() for name in kept} == before

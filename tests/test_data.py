@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,7 +175,8 @@ class TestSplitEval:
     def test_bad_fraction_rejected(self):
         # split_eval takes its fraction from a TrainConfig, which checks it
         for fraction in (0.0, 1.0):
-            with pytest.raises(ConfigError, match="eval_fraction must lie in"):
+            message = f"config key 'eval_fraction' must lie in (0, 1), got {fraction}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 TrainConfig(eval_fraction=fraction)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,5 +186,6 @@ class TestRhoSchedule:
 
     def test_bad_fraction_rejected(self):
         # rho_at takes its fraction from a TrainConfig, which checks it
-        with pytest.raises(ConfigError, match="anneal_start_fraction must lie in"):
+        message = "config key 'anneal_start_fraction' must lie in [0, 1], got 1.5"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TrainConfig(anneal_start_fraction=1.5)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from amorlip.errors import ConfigError, ContractError, TrainingDivergence
 from amorlip.numerics import AdamW, ParamStore
 from amorlip.trainer import (
     AMORTIZER_REINIT_SALT,
+    CONFIG_BOUNDS,
+    CONFIG_CHOICES,
     INT_LIMIT,
     MetricsWriter,
     TrainConfig,
+    check_run,
     checkpoint_load_blocks,
     checkpoint_save,
     init_train_state,
@@ -69,7 +74,8 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(beta_final=1.5).validate()
         # the amortizer width ceil(f_d * embed_dim) must be a finite number
-        with pytest.raises(ConfigError, match="f_d must be positive, with a finite width"):
+        message = "config key 'f_d' times embed_dim 32 must be finite, got 1e+308"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TrainConfig(f_d=1e308).validate()
         # a checkpoint packs each layer width as a u32
         for key, values in [
@@ -89,7 +95,8 @@ class TestTrainConfig:
     def test_valid_by_construction(self):
         with pytest.raises(ConfigError, match="t_online"):
             TrainConfig(t_online=0)
-        with pytest.raises(ConfigError, match="epochs >= 1"):
+        message = "config key 'epochs' must lie in [1, inf), got 0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(TrainConfig(), epochs=0)
         cfg = TrainConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -101,6 +108,45 @@ class TestTrainConfig:
         assert TrainConfig.from_dict({"tau_init": 14, "alpha": 1}).tau_init == 14
         with pytest.raises(ConfigError, match="'t_online' must be int"):
             TrainConfig.from_dict({"t_online": 8.0})
+        # not only from a config file: a direct build and replace check types too
+        for value in (2.5, "3", True):
+            message = f"config key 'epochs' must be int, got {value!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                TrainConfig(epochs=value)
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(TrainConfig(), epochs=value)
+
+    def test_every_field_has_one_rule(self):
+        # a new field cannot arrive unchecked: it needs a bound or a set of choices
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert sorted(names) == sorted([*CONFIG_BOUNDS, *CONFIG_CHOICES])
+        assert list(CONFIG_BOUNDS) == [name for name in names if name in CONFIG_BOUNDS]
+
+    @pytest.mark.parametrize("key", list(CONFIG_BOUNDS))
+    def test_bound_ends(self, key):
+        interval = CONFIG_BOUNDS[key]
+        kind = type(getattr(TrainConfig(), key))
+        low, high = (float(end) for end in interval[1:-1].split(", "))
+        for end, closed, outward in ((low, interval[0] == "[", -math.inf),
+                                     (high, interval[-1] == "]", math.inf)):
+            if math.isinf(end):
+                continue
+            if not closed:
+                outside = kind(end)
+            elif kind is int:
+                outside = int(end) + (1 if outward > 0 else -1)
+            else:
+                outside = math.nextafter(end, outward)
+            message = f"config key {key!r} must lie in {interval}, got {outside!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                TrainConfig(**{key: outside})
+            if closed:
+                assert getattr(TrainConfig(**{key: kind(end)}), key) == end
+
+    def test_readme_bounds_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `([\[(][^`]*[\])])` \|$", readme, re.MULTILINE)
+        assert rows == list(CONFIG_BOUNDS.items())
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_cfg(alpha=0.92)
@@ -141,6 +187,23 @@ class TestCadence:
         run_amorlip(cfg, ds)
         k = 540 // cfg.batch_size
         assert calls["n"] == k // 2  # one call over the store of both modalities
+
+    def test_run_rules(self):
+        # 200 samples hold out 20; at batch 16, 11 steps per epoch
+        assert check_run(small_cfg(), 200) == 11
+        message = ("config key 'batch_size' must be at most the 180 samples of the training split,"
+                   " got 181")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            check_run(small_cfg(batch_size=181, method="clip"), 200)
+        for change, message in [
+            ({"t_online": 12}, "config key 't_online' must be at most the 11 steps per epoch, got 12"),
+            ({"t_target": 12}, "config key 't_target' must be at most the 11 steps per epoch, got 12"),
+            ({"alpha": 1}, "config key 'alpha' must be below 1 for amorlip, got 1"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                check_run(small_cfg(**change), 200)
+            # the baseline has no cadence and no EMA target
+            assert check_run(small_cfg(method="clip", **change), 200) == 11
 
     def test_degenerate_cadence_without_stage_one(self):
         ds = small_ds(200)  # 11 steps per epoch

@@ -118,6 +118,19 @@ def test_suite_count_below_one_rejected(suite, arg, count):
         SUITES[suite](**{arg: count})
 
 
+@pytest.mark.parametrize("count", [1.5, True])
+@pytest.mark.parametrize("suite, arg", [
+    ("gradcheck", "instances"),
+    ("equivalence", "batches"),
+    ("spectral", "trials"),
+    ("spectral", "m_features"),
+])
+def test_suite_count_not_int_rejected(suite, arg, count):
+    # range() takes neither a float nor, meaningfully, a bool
+    with pytest.raises(ConfigError, match=rf"^{arg} must be int, got {count!r}$"):
+        SUITES[suite](**{arg: count})
+
+
 def sequential_flags(seeds, taus, m):
     """The coverage flags from a fresh draw per (seed, tau), one at a time."""
     flags = []
