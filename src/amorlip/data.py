@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError, check_value
 from .numerics import Array, seeded_rng
 
 MAGIC = b"APDS1\n"
@@ -25,6 +25,14 @@ _HEADER = struct.Struct("<4I")
 
 SPLIT_SEED_SALT = 7701
 BATCH_SEED_SALT = 3001
+
+# the type and interval each generate_synthetic argument takes; APDS1 packs
+# each size in its header as a u32
+SYNTHETIC_BOUNDS = {
+    "n": (int, "[2, 4294967296)"), "num_classes": (int, "[2, 4294967296)"),
+    "dim_a": (int, "[2, 4294967296)"), "dim_b": (int, "[2, 4294967296)"),
+    "noise_sigma": (float, "[0, inf)"), "seed": (int, "[0, inf)"),
+}
 
 
 @dataclass
@@ -46,7 +54,7 @@ class PairedDataset:
         if self.mod_b.shape[0] != n or self.labels.shape[0] != n or n < 1:
             raise ContractError("dataset arrays disagree on the sample count")
         if self.num_classes < 1 or np.any(self.labels >= self.num_classes):
-            raise ContractError("labels must lie in [0, num_classes)")
+            raise ContractError("labels must be in [0, num_classes)")
 
     @property
     def n(self) -> int:
@@ -80,20 +88,12 @@ def generate_synthetic(
     through a fixed random linear map per modality plus isotropic noise.
     Map entries are i.i.d. N(0, 1/latent_dim) so modality norms stay O(1).
     """
-    if num_classes < 2 or n < num_classes:
-        raise ConfigError(f"need n >= num_classes >= 2, got n={n}, classes={num_classes}")
-    if dim_a < 2 or dim_b < 2:
-        raise ConfigError(f"modality dims must be >= 2, got {dim_a}, {dim_b}")
-    if not 0 <= noise_sigma < math.inf:
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    sizes = {"n": n, "num_classes": num_classes, "dim_a": dim_a, "dim_b": dim_b}
-    for key, size in sizes.items():
-        if size >= 2**32:  # APDS1 packs each in its header as a u32
-            raise ConfigError(
-                f"{key} must be below 2**32, since APDS1 stores it as a u32, got {size}"
-            )
+    args = (n, num_classes, dim_a, dim_b, noise_sigma, seed)
+    for (key, (kind, interval)), value in zip(SYNTHETIC_BOUNDS.items(), args):
+        check_value("gen-data parameter", key, value, kind, interval)
+    if n < num_classes:
+        raise ConfigError(f"gen-data parameter 'n' must be at least num_classes ({num_classes}),"
+                          f" got {n}")
     rng = seeded_rng(seed)
     latent = min(dim_a, dim_b)
     protos = rng.standard_normal((num_classes, latent))
@@ -121,8 +121,9 @@ def dataset_file_size(n: int, dim_a: int, dim_b: int) -> int:
 def write_atomic(path, payload: bytes) -> None:
     """Write payload to path through a temporary file renamed over it, so
     that path holds either its old content or all of payload. The temporary
-    file is removed if the write or the rename fails."""
-    path = os.fspath(path)
+    file is removed if the write or the rename fails. A symlink at path
+    stays a link: its target is written."""
+    path = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
     tmp = path + ".tmp"
     fh = open(tmp, "wb")
     try:
@@ -137,7 +138,7 @@ def write_atomic(path, payload: bytes) -> None:
 def check_writable(path) -> None:
     """Raise an OSError where write_atomic(path, ...) would fail, at its
     first step or at the rename onto a directory; leave no file behind."""
-    path = os.fspath(path)
+    path = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     open(path + ".tmp", "wb").close()

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one value rule for outside input."""
+
+import math
 
 
 class AmorlipError(Exception):
@@ -19,6 +21,38 @@ class DegenerateInputError(AmorlipError):
 
 class ConfigError(AmorlipError):
     """Bad configuration value or combination."""
+
+
+# a checkpoint stores each config field and counter as a float64, exact below this
+INT_LIMIT = 2**53
+
+
+def check_value(what: str, name: str, value, kind: type, interval: str | None = None,
+                stored: bool = False) -> None:
+    """Raise a ConfigError naming what, name and value unless value has type
+    kind (a float takes ints, only a bool takes bools, nothing is coerced),
+    is finite if a float, is below 2**53 if stored and an int, and lies in
+    interval: in "[1, inf)", [ and ] take an end in, ( and ) leave it out."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{what} {name!r} must be {kind.__name__}, got {value!r}")
+    # an int as a float must fit a float64: 10**400 lies in (0, inf) as a Python int
+    if kind is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(f"{what} {name!r} must fit a float64 (magnitude at most"
+                              " 1.8e308), got a larger integer") from None
+        if not finite:
+            raise ConfigError(f"{what} {name!r} must be finite, got {value!r}")
+    elif stored and kind is int and value >= INT_LIMIT:
+        raise ConfigError(f"{what} {name!r} must be below 2**53, since a checkpoint stores it"
+                          f" as a float64, got {value}")
+    if interval is not None:
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        above = low <= value if interval[0] == "[" else low < value
+        if not (above and (value <= high if interval[-1] == "]" else value < high)):
+            raise ConfigError(f"{what} {name!r} must lie in {interval}, got {value!r}")
 
 
 class FormatError(AmorlipError):

@@ -52,7 +52,14 @@ from .encoders import (
     init_encoders,
     similarity_matrix,
 )
-from .errors import ConfigError, ContractError, DomainError, FormatError, TrainingDivergence
+from .errors import (
+    ConfigError,
+    ContractError,
+    DomainError,
+    FormatError,
+    TrainingDivergence,
+    check_value,
+)
 from .evaluation import partition_gap_stats
 from .losses import amortized_mle_loss, nce_loss, rho_at, temperature_rescale, usable_tau
 from .net import Mlp
@@ -75,7 +82,7 @@ CONFIG_CHOICES = {
     "include_positive": (False, True),
 }
 
-# the interval each other config field may take: [ and ] take an end in, ( and ) leave it out
+# the interval each other config field may take (see errors.check_value)
 CONFIG_BOUNDS = {
     "epochs": "[1, inf)", "batch_size": "[2, inf)", "embed_dim": "[1, inf)",
     "encoder_hidden": "[1, inf)", "encoder_depth": "[0, inf)", "f_d": "(0, inf)",
@@ -87,16 +94,7 @@ CONFIG_BOUNDS = {
 }
 
 CKPT_MAGIC = b"AMCK1\n"
-# a checkpoint stores every config field as a float64, which holds every
-# integer below this exactly
-INT_LIMIT = 2**53
 COUNTERS = ("epoch", "step_in_epoch", "global_step", "gather_count")
-
-
-def _within(value: float, interval: str) -> bool:
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    above = low <= value if interval[0] == "[" else low < value
-    return above and (value <= high if interval[-1] == "]" else value < high)
 
 
 def _parse_int(text: str) -> int:
@@ -148,35 +146,13 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
-        for field in dataclasses.fields(self):
-            key, value, kind = field.name, getattr(self, field.name), type(field.default)
-            # each default has its field's type; nothing is coerced, a float
-            # field takes ints, and only a bool field takes bools
-            accepted = (int, float) if kind is float else kind
-            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-                raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        for field in dataclasses.fields(self):  # each default has its field's type
+            key, value = field.name, getattr(self, field.name)
+            check_value("config key", key, value, type(field.default), CONFIG_BOUNDS.get(key),
+                        stored=True)
             choices = CONFIG_CHOICES.get(key)
-            if choices is not None:
-                if value not in choices:
-                    raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
-                continue
-            # a float field's value must be finite, and an int there must fit a
-            # float64: 10**400 lies in (0, inf) as a Python int
-            if kind is float:
-                try:
-                    finite = math.isfinite(value)
-                except OverflowError:
-                    raise ConfigError(f"config key {key!r} must fit a float64 (magnitude at most"
-                                      " 1.8e308), got a larger integer") from None
-                if not finite:
-                    raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-            elif value >= INT_LIMIT:
-                raise ConfigError(
-                    f"config key {key!r} must be below 2**53, since a checkpoint stores"
-                    f" it as a float64, got {value}"
-                )
-            if not _within(value, CONFIG_BOUNDS[key]):
-                raise ConfigError(f"config key {key!r} must lie in {CONFIG_BOUNDS[key]}, got {value!r}")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
         if not math.isfinite(float(self.f_d) * self.embed_dim):
             raise ConfigError(
                 f"config key 'f_d' times embed_dim {self.embed_dim} must be finite, got {self.f_d!r}"
@@ -681,25 +657,22 @@ def _stored_config(blocks: dict[str, Array]) -> TrainConfig:
     """The cfg/<field> blocks, decoded field by field for TrainConfig to validate."""
     values = {}
     for field in dataclasses.fields(TrainConfig):
-        name = f"cfg/{field.name}"
-        raw = float(_block(blocks, name, (1, 1))[0, 0])
-        choices = CONFIG_CHOICES.get(field.name)
+        name, choices = f"cfg/{field.name}", CONFIG_CHOICES.get(field.name)
         if type(field.default) is float:
-            values[field.name] = raw
-        elif not raw.is_integer() or (choices is not None and not 0 <= raw < len(choices)):
-            what = "an integer" if choices is None else f"an index into {choices}"
-            raise ConfigError(f"checkpoint block {name!r} holds {raw!r}, not {what}")
-        else:
-            values[field.name] = int(raw) if choices is None else choices[int(raw)]
+            values[field.name] = float(_block(blocks, name, (1, 1))[0, 0])
+        elif choices is None:
+            values[field.name] = _stored_int(blocks, name, "(-inf, inf)")
+        else:  # the index of the value in its choices
+            values[field.name] = choices[_stored_int(blocks, name, f"[0, {len(choices)})")]
     return TrainConfig(**values)
 
 
-def _stored_count(blocks: dict[str, Array], name: str) -> int:
-    """A counter or optimizer step, checked to be an integer in [0, 2**53)."""
-    raw = float(blocks[name][0, 0])
-    if not (raw.is_integer() and 0 <= raw < INT_LIMIT):
-        raise ConfigError(f"checkpoint block {name!r} holds {raw!r}, not an integer in [0, 2**53)")
-    return int(raw)
+def _stored_int(blocks: dict[str, Array], name: str, interval: str = "[0, inf)") -> int:
+    """The integer a (1, 1) block holds, in interval; by default a counter or optimizer step."""
+    raw = float(_block(blocks, name, (1, 1))[0, 0])
+    value = int(raw) if raw.is_integer() else raw
+    check_value("checkpoint block", name, value, int, interval, stored=True)
+    return value
 
 
 def _input_dims(cfg: TrainConfig, blocks: dict[str, Array]) -> dict[str, int]:
@@ -746,9 +719,9 @@ def load_eval_model(path) -> TrainState:
             " be at most cfg/tau_max, with a finite, non-zero square and inverse square"
         )
     for tag, opt in _optimizers(state):
-        opt.t = _stored_count(blocks, f"{tag}/t")
+        opt.t = _stored_int(blocks, f"{tag}/t")
     for key in COUNTERS:
-        setattr(state, key, _stored_count(blocks, f"meta/{key}"))
+        setattr(state, key, _stored_int(blocks, f"meta/{key}"))
     return state
 
 

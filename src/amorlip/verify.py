@@ -31,7 +31,7 @@ from .amortization import (
     loss_l2log_values,
 )
 from .encoders import EmbeddingBatch, encode, encoder_backward, init_encoders
-from .errors import ConfigError
+from .errors import ConfigError, check_value
 from .losses import (
     LossOutput,
     amortized_mle_loss,
@@ -62,6 +62,9 @@ GRAD_TOL = 1e-5
 # the largest --features the spectral suite takes: its partition check
 # draws an (M, 4) float64 array, 320 MB at this bound
 MAX_FEATURES = 10_000_000
+# the interval each suite count takes: below 1, a suite would check nothing and pass
+COUNT_BOUNDS = {"instances": "[1, inf)", "m_features": f"[1, {MAX_FEATURES}]", "trials": "[1, inf)",
+                "batches": "[1, inf)"}
 
 
 def _check(name: str, value: float, tolerance, ok: bool) -> dict:
@@ -71,14 +74,6 @@ def _check(name: str, value: float, tolerance, ok: bool) -> dict:
         "value": value,
         "tolerance": tolerance,
     }
-
-
-def _check_count(name: str, value: int) -> None:
-    """A suite's count rule: an int, not a bool; below 1, the suite would check nothing and pass."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be int, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
 def _unit_batch(rng: np.random.Generator, n: int, d: int) -> EmbeddingBatch:
@@ -212,7 +207,7 @@ def _gradcheck_amortize_forward(seed: int) -> dict[str, float]:
 
 
 def suite_gradcheck(instances: int = 20) -> list[dict]:
-    _check_count("instances", instances)
+    check_value("verify parameter", "instances", instances, int, COUNT_BOUNDS["instances"])
     worst: dict[str, float] = {}
     for group in (_gradcheck_pair_losses, _gradcheck_amortizer_losses,
                   _gradcheck_encoder, _gradcheck_amortize_forward):
@@ -272,12 +267,8 @@ def _coverage_flags(
 
 
 def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
-    _check_count("m_features", m_features)
-    _check_count("trials", trials)
-    if m_features > MAX_FEATURES:
-        raise ConfigError(
-            f"spectral suite takes at most {MAX_FEATURES} features, got {m_features}"
-        )
+    check_value("verify parameter", "m_features", m_features, int, COUNT_BOUNDS["m_features"])
+    check_value("verify parameter", "trials", trials, int, COUNT_BOUNDS["trials"])
     checks = []
     d_pair = 2  # the pair checks
     d = 4  # the partition check's batches
@@ -384,7 +375,7 @@ def suite_schedules() -> list[dict]:
 
 
 def suite_equivalence(batches: int = 20) -> list[dict]:
-    _check_count("batches", batches)
+    check_value("verify parameter", "batches", batches, int, COUNT_BOUNDS["batches"])
     checks = []
     for tau, n, tol in ((1.0, None, 1e-10), (10.0, 8, 1e-8)):
         worst = 0.0

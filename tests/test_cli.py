@@ -22,6 +22,7 @@ from amorlip.trainer import (
     checkpoint_load_blocks,
     checkpoint_save,
     init_train_state,
+    load_eval_model,
 )
 from amorlip.verify import MAX_FEATURES
 
@@ -168,7 +169,7 @@ class TestGenData:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "noise, message",
-        [("nan", "noise_sigma must be finite and >= 0, got nan"),
+        [("nan", "gen-data parameter 'noise_sigma' must be finite, got nan"),
          ("1e300", "noise_sigma 1e+300 gives features not finite in float32")],
     )
     def test_bad_noise_exits_1(self, tmp_path, capsys, noise, message):
@@ -180,7 +181,7 @@ class TestGenData:
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.apds"
         assert main(["gen-data", "--out", str(out), "--seed", "-3"]) == 1
-        assert "seed must be a non-negative integer, got -3" in stderr_line(capsys)
+        assert stderr_line(capsys) == "amorlip: gen-data parameter 'seed' must lie in [0, inf), got -3"
         assert not out.exists()
 
 
@@ -379,6 +380,23 @@ class TestEval:
         assert "median_abs_log_z_err" in report
         assert report["n_eval"] == 30
 
+    def test_outputs_through_symlinks(self, data_path, tiny_config, tmp_path):
+        # a write through a link replaces the link's target, and the link stays
+        (tmp_path / "real").mkdir()
+        links = {name: tmp_path / name for name in ("c.ckpt", "r.json")}
+        for name, link in links.items():
+            (tmp_path / "real" / name).write_text("old")
+            link.symlink_to(tmp_path / "real" / name)
+        assert main(["train", "--data", str(data_path), "--config", str(tiny_config),
+                     "--checkpoint", str(links["c.ckpt"])]) == 0
+        assert main(["eval", "--data", str(data_path), "--checkpoint", str(links["c.ckpt"]),
+                     "--report", str(links["r.json"])]) == 0
+        for name, link in links.items():
+            assert link.is_symlink() and link.resolve() == tmp_path / "real" / name
+        assert load_eval_model(tmp_path / "real" / "c.ckpt").global_step == 16
+        assert json.loads((tmp_path / "real" / "r.json").read_text())["n_eval"] == 30
+        assert sorted(os.listdir(tmp_path / "real")) == ["c.ckpt", "r.json"]
+
     def test_clip_report_omits_partition_fields(self, data_path, tiny_config, tmp_path):
         ckpt = self.run_train(data_path, tiny_config, tmp_path, method="clip")
         report_path = tmp_path / "r.json"
@@ -476,9 +494,9 @@ class TestEval:
     @pytest.mark.parametrize(
         "block, value, message",
         [
-            ("cfg/method", 5.0, "holds 5.0, not an index into ('amorlip', 'clip')"),
-            ("cfg/include_positive", 0.5, "holds 0.5, not an index into (False, True)"),
-            ("cfg/epochs", 2.5, "holds 2.5, not an integer"),
+            ("cfg/method", 5.0, "must lie in [0, 2), got 5"),
+            ("cfg/include_positive", 0.5, "must be int, got 0.5"),
+            ("cfg/epochs", 2.5, "must be int, got 2.5"),
         ],
     )
     def test_undecodable_config_exits_1(self, data_path, tmp_path, capsys, block, value, message):
@@ -530,13 +548,16 @@ class TestVerify:
     def test_spectral_no_features_exits_1(self, capsys, features):
         assert main(["verify", "spectral", "--features", features]) == 1
         assert stderr_line(capsys) == (
-            f"amorlip: m_features must be at least 1, got {features}"
+            f"amorlip: verify parameter 'm_features' must lie in [1, {MAX_FEATURES}], got {features}"
         )
 
     def test_spectral_feature_bound_exits_1(self, capsys):
         # rejected before the first frequency draw
         assert main(["verify", "spectral", "--features", str(MAX_FEATURES + 1)]) == 1
-        assert f"at most {MAX_FEATURES} features" in stderr_line(capsys)
+        assert stderr_line(capsys) == (
+            f"amorlip: verify parameter 'm_features' must lie in [1, {MAX_FEATURES}],"
+            f" got {MAX_FEATURES + 1}"
+        )
 
     def test_unknown_suite_exits_1(self):
         assert main(["verify", "nonsense"]) == 1
@@ -589,17 +610,18 @@ FAILURES = [
         "amorlip: cannot write {tmp}/dir: "
         "[Errno 21] Is a directory: '{tmp}/dir.tmp' -> '{tmp}/dir'"),
     row("gen-data-one-class", "gen-data --out {tmp}/x.apds --classes 1", 1,
-        "amorlip: need n >= num_classes >= 2, got n=10000, classes=1", absent=("x.apds",)),
+        "amorlip: gen-data parameter 'num_classes' must lie in [2, 4294967296), got 1",
+        absent=("x.apds",)),
     row("gen-data-nan-noise", "gen-data --out {tmp}/x.apds --n 100 --noise nan", 1,
-        "amorlip: noise_sigma must be finite and >= 0, got nan", absent=("x.apds",)),
+        "amorlip: gen-data parameter 'noise_sigma' must be finite, got nan", absent=("x.apds",)),
     row("gen-data-huge-noise", "gen-data --out {tmp}/x.apds --n 100 --noise 1e300", 1,
         "amorlip: noise_sigma 1e+300 gives features not finite in float32", absent=("x.apds",)),
     row("gen-data-negative-seed", "gen-data --out {tmp}/x.apds --seed -3", 1,
-        "amorlip: seed must be a non-negative integer, got -3", absent=("x.apds",)),
+        "amorlip: gen-data parameter 'seed' must lie in [0, inf), got -3", absent=("x.apds",)),
     # rejected before the first draw: 2**32 samples of dims 64 and 48 would
     # be about 3.8 TB of float64
     row("gen-data-n-beyond-u32", "gen-data --out {tmp}/x.apds --n 4294967296", 1,
-        "amorlip: n must be below 2**32, since APDS1 stores it as a u32, got 4294967296",
+        "amorlip: gen-data parameter 'n' must lie in [2, 4294967296), got 4294967296",
         absent=("x.apds",)),
     # train: flags, files and outputs
     row("train-no-data-flag", "train", 1,
@@ -808,16 +830,16 @@ FAILURES = [
     *[eval_row(f"eval-undecodable-{block}", 1, f"amorlip: checkpoint block {block!r} {message}",
                fresh_checkpoint(set_block(block, value)))
       for block, value, message in [
-          ("cfg/method", 5.0, "holds 5.0, not an index into ('amorlip', 'clip')"),
-          ("cfg/include_positive", 0.5, "holds 0.5, not an index into (False, True)"),
-          ("cfg/epochs", 2.5, "holds 2.5, not an integer"),
+          ("cfg/method", 5.0, "must lie in [0, 2), got 5"),
+          ("cfg/include_positive", 0.5, "must be int, got 0.5"),
+          ("cfg/epochs", 2.5, "must be int, got 2.5"),
+          # counters and optimizer steps must be counts: a resume continues
+          # from them, and AdamW's bias correction divides by 1 - beta ** t
+          ("meta/global_step", 2.5, "must be int, got 2.5"),
+          ("opt_enc/t", -1.0, "must lie in [0, inf), got -1"),
+          ("opt_amor/t", 1e300, "must be below 2**53, since a checkpoint stores it as a float64,"
+                                f" got {int(1e300)}"),
       ]],
-    # counters and optimizer steps must be counts: a resume continues from
-    # them, and AdamW's bias correction divides by 1 - beta ** t
-    *[eval_row(f"eval-undecodable-{block}", 1,
-               f"amorlip: checkpoint block {block!r} holds {value!r}, not an integer in [0, 2**53)",
-               fresh_checkpoint(set_block(block, value)))
-      for block, value in [("meta/global_step", 2.5), ("opt_enc/t", -1.0), ("opt_amor/t", 1e300)]],
     # tau must be at most the clamp's cap, with a usable square; a clip
     # checkpoint is held to the rule too, though its eval reads no tau
     *[eval_row(f"eval-log_tau-{value}-{method}", 1,
@@ -845,9 +867,11 @@ FAILURES = [
     row("verify-spectral-10-features", "verify spectral --features 10", 2),
     row("verify-spectral-1-feature", "verify spectral --features 1", 2),
     *[row(f"verify-spectral-{m}-features", f"verify spectral --features {m}", 1,
-          f"amorlip: m_features must be at least 1, got {m}") for m in (0, -5)],
+          f"amorlip: verify parameter 'm_features' must lie in [1, {MAX_FEATURES}], got {m}")
+      for m in (0, -5)],
     row("verify-spectral-feature-bound", f"verify spectral --features {MAX_FEATURES + 1}", 1,
-        f"amorlip: spectral suite takes at most {MAX_FEATURES} features, got {MAX_FEATURES + 1}"),
+        f"amorlip: verify parameter 'm_features' must lie in [1, {MAX_FEATURES}],"
+        f" got {MAX_FEATURES + 1}"),
     # the other suites take no feature count: the flag is refused, not ignored
     row("verify-gradcheck-features", "verify gradcheck --features 5", 1,
         "amorlip: --features applies to the spectral suite only"),

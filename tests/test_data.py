@@ -6,6 +6,7 @@ import pytest
 
 from amorlip.data import (
     MAGIC,
+    SYNTHETIC_BOUNDS,
     PairedDataset,
     dataset_file_size,
     generate_synthetic,
@@ -47,6 +48,34 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 1, 8, 6, 0.0, seed=0)
         with pytest.raises(ConfigError):
             generate_synthetic(10, 2, 1, 6, 0.0, seed=0)
+        message = "gen-data parameter 'n' must be at least num_classes (3), got 2"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(2, 3, 8, 6, 0.0, seed=0)
+
+    # the smallest arguments generate_synthetic takes
+    SMALLEST = {"n": 2, "num_classes": 2, "dim_a": 2, "dim_b": 2, "noise_sigma": 0.0, "seed": 0}
+
+    @pytest.mark.parametrize("key", list(SYNTHETIC_BOUNDS))
+    def test_bound_ends(self, interval_ends, key):
+        kind, interval = SYNTHETIC_BOUNDS[key]
+        for value, accepted in interval_ends(interval, kind):
+            if accepted:
+                generate_synthetic(**{**self.SMALLEST, key: value})
+                continue
+            message = f"gen-data parameter {key!r} must lie in {interval}, got {value!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                generate_synthetic(**{**self.SMALLEST, key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 10.5), ("n", np.int64(10)), ("num_classes", True), ("seed", "7"),
+        ("noise_sigma", True), ("noise_sigma", np.float32(0.05)),
+    ])
+    def test_argument_types(self, key, value):
+        # nothing is coerced, numpy scalars included
+        kind = SYNTHETIC_BOUNDS[key][0].__name__
+        message = f"gen-data parameter {key!r} must be {kind}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(**{**self.SMALLEST, key: value})
 
     def test_linear_probe_recovers_classes(self):
         # with small noise a linear readout separates the classes, so a

@@ -9,14 +9,13 @@ import pytest
 
 import amorlip.trainer as trainer_mod
 from amorlip.amortization import init_amortizer
-from amorlip.data import generate_synthetic
-from amorlip.errors import ConfigError, ContractError, TrainingDivergence
+from amorlip.data import SYNTHETIC_BOUNDS, generate_synthetic
+from amorlip.errors import INT_LIMIT, ConfigError, ContractError, TrainingDivergence
 from amorlip.numerics import AdamW, ParamStore
 from amorlip.trainer import (
     AMORTIZER_REINIT_SALT,
     CONFIG_BOUNDS,
     CONFIG_CHOICES,
-    INT_LIMIT,
     MetricsWriter,
     TrainConfig,
     check_run,
@@ -30,6 +29,7 @@ from amorlip.trainer import (
     run_training,
     state_blocks,
 )
+from amorlip.verify import COUNT_BOUNDS
 
 
 def small_cfg(**kw):
@@ -123,30 +123,24 @@ class TestTrainConfig:
         assert list(CONFIG_BOUNDS) == [name for name in names if name in CONFIG_BOUNDS]
 
     @pytest.mark.parametrize("key", list(CONFIG_BOUNDS))
-    def test_bound_ends(self, key):
+    def test_bound_ends(self, interval_ends, key):
         interval = CONFIG_BOUNDS[key]
-        kind = type(getattr(TrainConfig(), key))
-        low, high = (float(end) for end in interval[1:-1].split(", "))
-        for end, closed, outward in ((low, interval[0] == "[", -math.inf),
-                                     (high, interval[-1] == "]", math.inf)):
-            if math.isinf(end):
+        for value, accepted in interval_ends(interval, type(getattr(TrainConfig(), key))):
+            if accepted:
+                assert getattr(TrainConfig(**{key: value}), key) == value
                 continue
-            if not closed:
-                outside = kind(end)
-            elif kind is int:
-                outside = int(end) + (1 if outward > 0 else -1)
-            else:
-                outside = math.nextafter(end, outward)
-            message = f"config key {key!r} must lie in {interval}, got {outside!r}"
+            message = f"config key {key!r} must lie in {interval}, got {value!r}"
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-                TrainConfig(**{key: outside})
-            if closed:
-                assert getattr(TrainConfig(**{key: kind(end)}), key) == end
+                TrainConfig(**{key: value})
 
     def test_readme_bounds_table(self):
+        # the config, gen-data and verify tables, in that order: a row's
+        # first column (a gen-data flag or a verify suite) is not compared
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `(\w+)` \| `([\[(][^`]*[\])])` \|$", readme, re.MULTILINE)
-        assert rows == list(CONFIG_BOUNDS.items())
+        rows = re.findall(r"^\| (?:`[-\w]+` \| )?`(\w+)` \| `([\[(][^`]*[\])])` \|$", readme,
+                          re.MULTILINE)
+        synthetic = [(key, interval) for key, (_, interval) in SYNTHETIC_BOUNDS.items()]
+        assert rows == [*CONFIG_BOUNDS.items(), *synthetic, *COUNT_BOUNDS.items()]
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_cfg(alpha=0.92)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -10,7 +11,7 @@ import amorlip.spectral as spectral
 import amorlip.verify as verify_mod
 from amorlip.amortization import GENERATORS
 from amorlip.errors import ConfigError, ContractError
-from amorlip.verify import SUITES, suite_gradcheck, suite_spectral
+from amorlip.verify import COUNT_BOUNDS, SUITES, suite_gradcheck, suite_spectral
 
 # spectral check values, as float hex. Each is that of a single-threaded
 # loop with one fresh draw per (seed, tau); the coverage seeds are
@@ -114,7 +115,8 @@ def test_gradcheck_one_sweep_per_draw(monkeypatch, instances):
 ])
 def test_suite_count_below_one_rejected(suite, arg, count):
     # a suite that checks nothing would report a pass
-    with pytest.raises(ConfigError, match=rf"^{arg} must be at least 1, got {count}$"):
+    message = f"verify parameter {arg!r} must lie in {COUNT_BOUNDS[arg]}, got {count}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SUITES[suite](**{arg: count})
 
 
@@ -127,8 +129,43 @@ def test_suite_count_below_one_rejected(suite, arg, count):
 ])
 def test_suite_count_not_int_rejected(suite, arg, count):
     # range() takes neither a float nor, meaningfully, a bool
-    with pytest.raises(ConfigError, match=rf"^{arg} must be int, got {count!r}$"):
+    message = f"verify parameter {arg!r} must be int, got {count!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SUITES[suite](**{arg: count})
+
+
+class Accepted(Exception):
+    """Raised in place of a suite's first step once its counts pass."""
+
+
+# each count's suite, and the name that suite calls first once its counts pass
+COUNT_SUITES = {
+    "instances": ("gradcheck", "_gradcheck_pair_losses"),
+    "m_features": ("spectral", "_coverage_flags"),
+    "trials": ("spectral", "_coverage_flags"),
+    "batches": ("equivalence", "seeded_rng"),
+}
+
+
+@pytest.mark.parametrize("arg", list(COUNT_BOUNDS))
+def test_count_bound_ends(monkeypatch, interval_ends, arg):
+    # a closed end is accepted without running the suite: at MAX_FEATURES
+    # its buffers would take hundreds of megabytes
+    suite, first_step = COUNT_SUITES[arg]
+
+    def accepted(*args, **kwargs):
+        raise Accepted
+
+    monkeypatch.setattr(verify_mod, first_step, accepted)
+    interval = COUNT_BOUNDS[arg]
+    for value, ok in interval_ends(interval, int):
+        if ok:
+            with pytest.raises(Accepted):
+                SUITES[suite](**{arg: value})
+            continue
+        message = f"verify parameter {arg!r} must lie in {interval}, got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SUITES[suite](**{arg: value})
 
 
 def sequential_flags(seeds, taus, m):
