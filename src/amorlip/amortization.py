@@ -294,3 +294,17 @@ def loss_l2log(theta: Mlp, emb_l: EmbeddingBatch, log_z_target: Array) -> float:
     loss, grad = loss_l2log_values(log_lam, log_z_target)
     amortize_backward(backward, grad)
     return loss
+
+
+def loss_fdiv(theta: Mlp, emb_l: EmbeddingBatch, log_z_target: Array, gen: DivergenceGenerator,
+              weights: Array, l2log_coef: float) -> float:
+    """Divergence-weighted amortization loss, plus l2log_coef times the
+    squared log-gap loss when l2log_coef > 0; gradients flow only to theta."""
+    log_lam, backward = amortize_forward(theta, emb_l)
+    loss, grad = loss_fdiv_values(log_lam, log_z_target, gen, weights)
+    if l2log_coef > 0.0:
+        loss_l2, grad_l2 = loss_l2log_values(log_lam, log_z_target)
+        loss += l2log_coef * loss_l2
+        grad = grad + l2log_coef * grad_l2
+    amortize_backward(backward, grad)
+    return loss

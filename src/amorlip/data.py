@@ -12,6 +12,7 @@ from __future__ import annotations
 import errno
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -108,7 +109,8 @@ def generate_synthetic(
         mod_b = protos[labels] @ map_b + noise_sigma * rng.standard_normal((n, dim_b))
         mod_a, mod_b = mod_a.astype(np.float32), mod_b.astype(np.float32)
     if not (np.isfinite(mod_a).all() and np.isfinite(mod_b).all()):
-        raise ConfigError(f"noise_sigma {noise_sigma} gives features not finite in float32")
+        raise ConfigError("gen-data parameter 'noise_sigma' must give features finite in float32,"
+                          f" got {noise_sigma!r}")
     return PairedDataset(
         mod_a=mod_a, mod_b=mod_b, labels=labels.astype(np.uint32), num_classes=num_classes
     )
@@ -118,12 +120,29 @@ def dataset_file_size(n: int, dim_a: int, dim_b: int) -> int:
     return len(MAGIC) + _HEADER.size + 4 * n * (dim_a + dim_b) + 4 * n
 
 
+def _output_path(path) -> tuple[str, bool]:
+    """path with a symlink resolved, and whether it exists as neither a
+    regular file nor a directory (a FIFO or a device node, say), which is
+    written in place: no rename onto it can be atomic."""
+    path = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return path, False
+    return path, not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
+
+
 def write_atomic(path, payload: bytes) -> None:
     """Write payload to path through a temporary file renamed over it, so
     that path holds either its old content or all of payload. The temporary
     file is removed if the write or the rename fails. A symlink at path
-    stays a link: its target is written."""
-    path = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    stays a link: its target is written. A FIFO or device node at path is
+    written directly and stays what it is."""
+    path, in_place = _output_path(path)
+    if in_place:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        return
     tmp = path + ".tmp"
     fh = open(tmp, "wb")
     try:
@@ -137,10 +156,16 @@ def write_atomic(path, payload: bytes) -> None:
 
 def check_writable(path) -> None:
     """Raise an OSError where write_atomic(path, ...) would fail, at its
-    first step or at the rename onto a directory; leave no file behind."""
-    path = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    first step or at the rename onto a directory; leave no file behind. A
+    FIFO or device node is checked for write permission, never opened: a
+    FIFO's open would wait for a reader."""
+    path, in_place = _output_path(path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if in_place:
+        if not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return
     open(path + ".tmp", "wb").close()
     os.remove(path + ".tmp")
 

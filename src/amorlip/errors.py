@@ -46,8 +46,10 @@ def check_value(what: str, name: str, value, kind: type, interval: str | None = 
         if not finite:
             raise ConfigError(f"{what} {name!r} must be finite, got {value!r}")
     elif stored and kind is int and value >= INT_LIMIT:
+        # up to 20 digits print in full; a longer integer is named by its size
+        got = value if value < 10**20 else f"2**{value.bit_length() - 1} or more"
         raise ConfigError(f"{what} {name!r} must be below 2**53, since a checkpoint stores it"
-                          f" as a float64, got {value}")
+                          f" as a float64, got {got}")
     if interval is not None:
         low, high = (float(end) for end in interval[1:-1].split(","))
         above = low <= value if interval[0] == "[" else low < value

@@ -7,11 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# perfbench's traced pass looks encode, exact_partition and amortize_forward up
+# on this module; evaluate_model reaches them through the trainer's helpers.
 from .amortization import amortize_forward, exact_partition
 from .data import PairedDataset
-from .encoders import MODALITIES, EmbeddingBatch, encode, similarity_matrix
+from .encoders import EmbeddingBatch, encode, similarity_matrix
 from .errors import ConfigError
 from .numerics import Array
+from .trainer import _embed, _exact_log_z, _target_log_lam, partition_gap_stats
 
 
 @dataclass
@@ -82,33 +85,6 @@ def zero_shot_accuracy(sample_emb: EmbeddingBatch, prototype_emb: Array, labels:
     return float(np.mean(pred == labels))
 
 
-def partition_gap_stats(log_lam: dict[str, Array], log_z: dict[str, Array]) -> tuple[float, float]:
-    """(median, mean) of |log lambda - log Z| over the samples of both
-    modalities, pooled in modality order."""
-    lam, z = (np.concatenate([values[m] for m in MODALITIES]) for values in (log_lam, log_z))
-    gaps = np.abs(lam - z)
-    return float(np.median(gaps)), float(np.mean(gaps))
-
-
-def _embed_slice(model, ds_slice: PairedDataset) -> dict[str, EmbeddingBatch]:
-    emb = {}
-    for m in MODALITIES:
-        batch = ds_slice.mod_a if m == "a" else ds_slice.mod_b
-        emb[m], _ = encode(model.encoders, batch, m)
-    return emb
-
-
-def _partition_gaps(model, emb: dict[str, EmbeddingBatch]) -> tuple[float, float]:
-    """Gap between the target amortizers' predictions and the exact
-    slice-level log partitions; the slice serves as the empirical marginal."""
-    tau = model.temperature.tau
-    log_lam, log_z = {}, {}
-    for m, mp in (("a", "b"), ("b", "a")):
-        log_z[m] = exact_partition(emb[m], emb[mp], tau, include_positive=True).log_z_exact
-        log_lam[m] = amortize_forward(model.targets[m].ema, emb[m])[0]
-    return partition_gap_stats(log_lam, log_z)
-
-
 def evaluate_model(model, eval_ds: PairedDataset) -> EvalReport:
     """Full evaluation of a trainer.TrainState (a trained one, or one that
     load_eval_model read back) on a held-out slice: retrieval in both
@@ -120,14 +96,16 @@ def evaluate_model(model, eval_ds: PairedDataset) -> EvalReport:
     non-finite value reaches (a row norm, an amortizer output) report it,
     not numpy warnings."""
     with np.errstate(all="ignore"):
-        emb = _embed_slice(model, eval_ds)
+        emb, _ = _embed(model, eval_ds, np.arange(eval_ds.n))
         ranks_ab, ranks_ba = _partner_ranks(emb["a"], emb["b"])
         k5 = min(5, eval_ds.n)
         protos = class_prototypes(emb["b"], eval_ds.labels, eval_ds.num_classes)
         acc = zero_shot_accuracy(emb["a"], protos, eval_ds.labels)
         median = mean = None
         if model.targets is not None:
-            median, mean = _partition_gaps(model, emb)
+            # the slice serves as the empirical marginal, positives included
+            log_z = _exact_log_z(emb, model.temperature.tau, include_positive=True)
+            median, mean = partition_gap_stats(_target_log_lam(model, emb), log_z)
     return EvalReport(
         recall_at_1_ab=float(np.mean(ranks_ab <= 1)),
         recall_at_1_ba=float(np.mean(ranks_ba <= 1)),

@@ -24,7 +24,8 @@ import numpy as np
 # perfbench's traced pass patches the names imported below on this module and
 # counts, per amortizing step, 3 n^2 pairwise products (exact_partition twice,
 # amortized_mle_loss once) and 2 t_lambda loss_l2log calls: the loop must keep
-# calling them through these module globals.
+# calling them through these module globals. It looks amortize_backward up here
+# too, so that name stays although only loss_l2log and loss_fdiv call it now.
 from .amortization import (
     GENERATORS,
     TargetAmortizer,
@@ -37,9 +38,8 @@ from .amortization import (
     exact_partition,
     fdiv_weights,
     init_amortizer,
-    loss_fdiv_values,
+    loss_fdiv,
     loss_l2log,
-    loss_l2log_values,
 )
 from .data import PairedDataset, eval_size, make_batch_plan, split_eval, write_atomic
 from .encoders import (
@@ -60,7 +60,6 @@ from .errors import (
     TrainingDivergence,
     check_value,
 )
-from .evaluation import partition_gap_stats
 from .losses import amortized_mle_loss, nce_loss, rho_at, temperature_rescale, usable_tau
 from .net import Mlp
 from .numerics import AdamW, Array, ParamStore
@@ -323,6 +322,14 @@ def _target_log_lam(state: TrainState, emb: dict[str, EmbeddingBatch]) -> dict[s
     return {m: amortize_forward(state.targets[m].ema, emb[m])[0] for m in MODALITIES}
 
 
+def partition_gap_stats(log_lam: dict[str, Array], log_z: dict[str, Array]) -> tuple[float, float]:
+    """(median, mean) of |log lambda - log Z| over the samples of both
+    modalities, pooled in modality order."""
+    lam, z = (np.concatenate([values[m] for m in MODALITIES]) for values in (log_lam, log_z))
+    gaps = np.abs(lam - z)
+    return float(np.median(gaps)), float(np.mean(gaps))
+
+
 def _amortization_stage(
     state: TrainState,
     emb: dict[str, EmbeddingBatch],
@@ -353,14 +360,8 @@ def _amortization_stage(
             if cfg.objective == "l2log":
                 total += loss_l2log(state.online[m], emb[m], log_zema[m])
             else:
-                log_lam, backward = amortize_forward(state.online[m], emb[m])
-                val, grad = loss_fdiv_values(log_lam, log_zema[m], gen, weights[m])
-                if cfg.fdiv_l2log_coef > 0.0:
-                    val_l2, grad_l2 = loss_l2log_values(log_lam, log_zema[m])
-                    val += cfg.fdiv_l2log_coef * val_l2
-                    grad = grad + cfg.fdiv_l2log_coef * grad_l2
-                amortize_backward(backward, grad)
-                total += val
+                total += loss_fdiv(state.online[m], emb[m], log_zema[m], gen, weights[m],
+                                   cfg.fdiv_l2log_coef)
         state.opt_amortizer.step()
     return total
 

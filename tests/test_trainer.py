@@ -551,6 +551,18 @@ class TestCheckpoints:
         checkpoint_save(init_train_state(cfg, small_ds(200)), path)
         assert load_eval_model(path).config.seed == INT_LIMIT - 1
 
+    @pytest.mark.parametrize("seed, got", [
+        (10**20 - 1, str(10**20 - 1)),
+        (10**20, "2**66 or more"),
+        # beyond the interpreter's 4,300-digit limit for printing an int
+        (10**5000, "2**16609 or more"),
+    ], ids=["20-digits", "21-digits", "5001-digits"])
+    def test_long_seed_named_by_size(self, seed, got):
+        message = ("config key 'seed' must be below 2**53, since a checkpoint stores it"
+                   f" as a float64, got {got}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_cfg(seed=seed)
+
     def test_clip_checkpoint_has_no_amortizers(self, tmp_path):
         ds = small_ds(200)
         cfg = small_cfg(method="clip", epochs=1)

@@ -7,10 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import amorlip.amortization as amortization
 import amorlip.spectral as spectral
 import amorlip.verify as verify_mod
 from amorlip.amortization import GENERATORS
+from amorlip.data import generate_synthetic
 from amorlip.errors import ConfigError, ContractError
+from amorlip.trainer import TrainConfig, run_training
 from amorlip.verify import COUNT_BOUNDS, SUITES, suite_gradcheck, suite_spectral
 
 # spectral check values, as float hex. Each is that of a single-threaded
@@ -86,6 +89,26 @@ def test_gradcheck_reaches_each_generator(monkeypatch):
     assert set(seen) == set(GENERATORS)
 
 
+def test_gradcheck_checks_the_trainers_divergence_objective(monkeypatch):
+    # the trainer's amortization stage and gradcheck run one loss_fdiv: a
+    # wrong divergence gradient moves the training step and fails gradcheck
+    real = amortization.loss_fdiv_values
+
+    def doubled(log_lam, log_z, gen, weights):
+        loss, grad = real(log_lam, log_z, gen, weights)
+        return loss, 2.0 * grad
+
+    cfg = TrainConfig(objective="fdiv", generator="js", fdiv_l2log_coef=0.0, t_lambda=1,
+                      t_online=1, epochs=1, batch_size=16, embed_dim=8, encoder_hidden=16, seed=6)
+    ds = generate_synthetic(200, 4, 10, 9, 0.05, seed=6)
+    # after one step, the amortizer gradient of its one stage-I iteration
+    grad = run_training(cfg, ds, max_steps=1).opt_amortizer.store.grad.copy()
+    monkeypatch.setattr(amortization, "loss_fdiv_values", doubled)
+    assert np.array_equal(run_training(cfg, ds, max_steps=1).opt_amortizer.store.grad, 2.0 * grad)
+    failing = {c["check"] for c in suite_gradcheck(instances=1) if c["status"] == "fail"}
+    assert failing == {f"gradcheck/loss_fdiv_{g}" for g in GENERATORS}
+
+
 @pytest.mark.parametrize("instances", [1, 3])
 def test_gradcheck_one_sweep_per_draw(monkeypatch, instances):
     # per seed, one FD sweep for each parameter draw: the pair losses, the
@@ -132,6 +155,15 @@ def test_suite_count_not_int_rejected(suite, arg, count):
     message = f"verify parameter {arg!r} must be int, got {count!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SUITES[suite](**{arg: count})
+
+
+def test_trials_beyond_bound_rejected():
+    # the coverage pool is handed every trial at once: 2**53 would exhaust
+    # memory, so the call is made only under a finite bound
+    assert not COUNT_BOUNDS["trials"].endswith("inf)")
+    message = f"verify parameter 'trials' must lie in {COUNT_BOUNDS['trials']}, got {2**53}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        suite_spectral(trials=2**53)
 
 
 class Accepted(Exception):
