@@ -63,7 +63,7 @@ def _partner_ranks(emb_a: EmbeddingBatch, emb_b: EmbeddingBatch) -> tuple[Array,
 
 def class_prototypes(emb: EmbeddingBatch, labels: Array, num_classes: int) -> Array:
     """Unit-norm per-class mean embeddings. A class absent from the slice
-    keeps a zero prototype (it can never be a query's own class)."""
+    keeps a zero prototype, which zero_shot_accuracy never predicts."""
     labels = np.asarray(labels)
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
@@ -80,8 +80,12 @@ def class_prototypes(emb: EmbeddingBatch, labels: Array, num_classes: int) -> Ar
 
 def zero_shot_accuracy(sample_emb: EmbeddingBatch, prototype_emb: Array, labels: Array) -> float:
     """Fraction of samples whose highest-similarity prototype matches the
-    label; ties resolve to the lower class id."""
-    pred = np.argmax(sample_emb.data @ prototype_emb.T, axis=1)
+    label; ties resolve to the lower class id. A zero prototype (a class
+    absent from the slice) is out of the running: its score of 0 would beat
+    a sample's negative similarities to every present class."""
+    scores = sample_emb.data @ prototype_emb.T
+    scores[:, ~prototype_emb.any(axis=1)] = -np.inf
+    pred = np.argmax(scores, axis=1)
     return float(np.mean(pred == labels))
 
 

@@ -246,16 +246,19 @@ class AdamW:
 
 def finite_difference_gradient(f: Callable[[Array], float | Array], x, h: float = 1e-6) -> Array:
     """Central differences (f(x + h e_i) - f(x - h e_i)) / (2 h) per coordinate.
-    A scalar f gives a (P,) gradient; f with k values gives (k, P), one row each."""
+    A scalar f gives a (P,) gradient; f with k values gives (k, P), one row each.
+    f sees x itself: x[i] moves in place and gets its bits back, also if f raises."""
     x = np.asarray(x, dtype=np.float64).ravel()
     cols = []
     for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        fp = np.asarray(f(xp), dtype=np.float64)
-        fm = np.asarray(f(xm), dtype=np.float64)
+        xi = x[i]
+        try:
+            x[i] = xi + h
+            fp = np.array(f(x), dtype=np.float64)
+            x[i] = xi - h
+            fm = np.array(f(x), dtype=np.float64)
+        finally:
+            x[i] = xi
         if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise OracleError(f"non-finite evaluation while perturbing coordinate {i}")
         cols.append((fp - fm) / (2.0 * h))

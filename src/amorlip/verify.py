@@ -59,8 +59,9 @@ from .spectral import (
 
 FD_STEP = 1e-6
 GRAD_TOL = 1e-5
-# the largest --features the spectral suite takes: its partition check
-# draws an (M, 4) float64 array, 320 MB at this bound
+# the largest --features the spectral suite takes: its coverage pool (two slots
+# of (2, M) + (2, M)) and its partition check ((M, 4) + four M-vectors) each
+# hold 8 float64 per feature, about 64 bytes, or 0.65 GB at this bound
 MAX_FEATURES = 10_000_000
 # the interval each suite count takes: below 1, a suite would check nothing and
 # pass; the coverage pool is handed every trial at once, and holds its flags
@@ -94,20 +95,15 @@ def _gradcheck_params(
 ) -> dict[str, float]:
     """FD check over the blocks' parameters, by check name: values() gives
     one value per backward, in the same order, and each is checked against
-    the gradient that its backward accumulates. One FD sweep serves all."""
+    the gradient that its backward accumulates. One FD sweep serves all: it
+    moves the store's values in place, and values() reads them via the blocks."""
     store = ParamStore(blocks)
-    x0 = store.value.copy()
     grads = {}
     for name, backward in backwards.items():
         store.zero_grad()
         backward()
         grads[name] = store.grad.copy()
-
-    def f(flat: Array) -> list[float]:
-        store.value[...] = flat
-        return values()
-
-    numeric = finite_difference_gradient(f, x0, FD_STEP)
+    numeric = finite_difference_gradient(lambda _: values(), store.value, FD_STEP)
     return {name: gradcheck_error(g, row) for (name, g), row in zip(grads.items(), numeric)}
 
 
@@ -140,10 +136,11 @@ def _gradcheck_pair_losses(seed: int) -> dict[str, float]:
         log_tau.grad += out.tau_grad * tau
 
     # at the drawn tau: exp(log(tau)) can differ from it in the last bit
+    nce, mle = losses(tau)
     return _gradcheck_params([a, b, log_tau], values, {
-        "nce_loss": lambda: accumulate(losses(tau)[0]),
-        "amortized_mle_loss": lambda: accumulate(losses(tau)[1]),
-        "temperature_rescale": lambda: accumulate(temperature_rescale(losses(tau)[0], tau, rho)),
+        "nce_loss": lambda: accumulate(nce),
+        "amortized_mle_loss": lambda: accumulate(mle),
+        "temperature_rescale": lambda: accumulate(temperature_rescale(nce, tau, rho)),
     })
 
 
@@ -236,6 +233,7 @@ def _coverage_flags(
 ) -> list[list[list[bool]]]:
     """For each seed, in order, and each tau of the ladder, whether each
     similarity's kernel estimate lies within 3 standard errors of exp(tau * s).
+    An infinite standard error (one feature) covers every value, so it fails.
 
     Two threads take the seeds, each to whichever is free; numpy's normal
     draw and cos release the GIL. A trial draws its seed once into one of
@@ -256,7 +254,8 @@ def _coverage_flags(
         finally:
             slots.put((buf, work))
         return [
-            [abs(e.value - math.exp(tau * s)) <= 3.0 * e.stderr for s, e in zip(sims, per_tau)]
+            [math.isfinite(e.stderr) and abs(e.value - math.exp(tau * s)) <= 3.0 * e.stderr
+             for s, e in zip(sims, per_tau)]
             for tau, per_tau in zip(LADDER, zip(*per_s))
         ]
 
@@ -280,7 +279,8 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
             _check(f"spectral/coverage_tau_{tau:g}", worst_fraction, 0.95, worst_fraction >= 0.95)
         )
 
-    # partition estimate against the exact batch partition, 3-SE z-scores
+    # partition estimate against the exact batch partition, 3-SE z-scores; an
+    # infinite standard error measures nothing, so its z-score is inf, not 0
     max_z = 0.0
     tau = 1.0
     for b in range(5):
@@ -290,7 +290,8 @@ def suite_spectral(m_features: int = 200_000, trials: int = 100) -> list[dict]:
         pe = exact_partition(query, batch, tau)
         omegas = sample_features(m_features, d, seed=92_000 + b)
         for est, log_z in zip(partition_estimate_mc(query.data, batch, omegas, tau), pe.log_z_exact):
-            max_z = max(max_z, abs(est.value - math.exp(log_z)) / est.stderr)
+            gap = abs(est.value - math.exp(log_z))
+            max_z = max(max_z, gap / est.stderr if math.isfinite(est.stderr) else math.inf)
         del omegas
     checks.append(_check("spectral/partition_vs_exact", max_z, 3.0, max_z <= 3.0))
 

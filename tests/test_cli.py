@@ -579,11 +579,17 @@ class TestVerify:
         assert any(c["status"] == "fail" for c in lines)
 
     def test_spectral_single_feature_fails_without_traceback(self, capsys):
-        # one feature has no spread to measure: infinite standard errors
+        # one feature has no spread to measure: infinite standard errors,
+        # which cover every value and so must fail coverage, not pass it
         assert main(["verify", "spectral", "--features", "1"]) == 2
         out, err = capsys.readouterr()
-        relative_se = {c["check"]: c for c in strict_json_lines(out)}["spectral/relative_se"]
+        checks = {c["check"]: c for c in strict_json_lines(out)}
+        relative_se = checks["spectral/relative_se"]
         assert relative_se["status"] == "fail" and relative_se["value"] == "inf"
+        for tau in (1, 2, 4):
+            assert checks[f"spectral/coverage_tau_{tau}"]["status"] == "fail"
+        partition = checks["spectral/partition_vs_exact"]
+        assert partition["status"] == "fail" and partition["value"] == "inf"
         assert err == ""
 
     @pytest.mark.parametrize("features", ["0", "-5"])

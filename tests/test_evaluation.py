@@ -109,6 +109,14 @@ class TestZeroShot:
         )
         assert zero_shot_accuracy(EmbeddingBatch(emb_data), protos, labels) == oracle
 
+    def test_absent_class_is_never_predicted(self):
+        # prototypes +x and +y, and class 2 absent with a zero prototype: the
+        # second query's nearest present class is 0 (-0.6 against -0.8), and
+        # the absent class's score of 0 must not win over it
+        protos = class_prototypes(EmbeddingBatch(np.eye(2)), np.array([0, 1]), 3)
+        emb = EmbeddingBatch(np.array([[1.0, 0.0], [-0.6, -0.8]]))
+        assert zero_shot_accuracy(emb, protos, np.array([0, 0])) == 1.0
+
     def test_invariant_under_increasing_transform(self):
         # scaling all similarities by a positive temperature keeps the argmax
         rng = seeded_rng(213)

@@ -295,8 +295,11 @@ class TestFiniteDifferenceGradient:
         def f(x):
             return math.inf if x[1] > 0.5 else 0.0
 
+        # the perturbed coordinate gets its bits back before the error
+        x = np.array([-0.0, 0.5, 0.0])
         with pytest.raises(OracleError, match="coordinate 1"):
-            finite_difference_gradient(f, np.array([0.0, 0.5, 0.0]), 1e-3)
+            finite_difference_gradient(f, x, 1e-3)
+        assert x.tobytes() == np.array([-0.0, 0.5, 0.0]).tobytes()
 
     def test_scalar_f_without_coordinates(self):
         g = finite_difference_gradient(lambda x: 1.0, np.zeros(0), 1e-6)
@@ -312,7 +315,18 @@ class TestFiniteDifferenceGradient:
             lambda x: float(np.dot(w[1], x) ** 2),
             lambda x: float(np.exp(np.dot(w[2], x) / p)),
         ]
-        g = finite_difference_gradient(lambda x: [f(x) for f in parts], x0, 1e-6)
+        orig = x0.copy()
+        moved = []
+
+        def f_all(x):
+            # f sees x0 itself, perturbed in place at one coordinate
+            assert np.shares_memory(x, x0)
+            moved.append(np.flatnonzero(x0 != orig).tolist())
+            return [f(x) for f in parts]
+
+        g = finite_difference_gradient(f_all, x0, 1e-6)
+        assert moved == [[i] for i in range(p) for _ in "+-"]
+        assert x0.tobytes() == orig.tobytes()
         assert g.shape == (3, p)
         for row, f in zip(g, parts):
             assert row.tobytes() == finite_difference_gradient(f, x0, 1e-6).tobytes()
