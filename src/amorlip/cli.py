@@ -1,7 +1,8 @@
 """Command-line surface: gen-data, train, eval, verify.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure or
-training divergence, 3 I/O or file-format error, 130 interrupted (Ctrl-C).
+training divergence, 3 I/O or file-format error, 130 interrupted (Ctrl-C),
+143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import contextlib
 import dataclasses
 import json
 import math
+import signal
 import sys
+import threading
 
 from .data import (
     check_writable,
@@ -41,6 +44,15 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the status a shell gives a Ctrl-C
+EXIT_TERMINATED = 143  # 128 + SIGTERM
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread so a command unwinds as on Ctrl-C."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,7 +204,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place a failure becomes an exit code."""
+    """Run one command; the only place a failure becomes an exit code. While
+    it runs, SIGTERM unwinds the command; the caller's handler is restored."""
+    previous = None  # only the main thread can set a handler, and only it runs one
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
@@ -214,6 +230,12 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("amorlip: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except _Terminated:
+        print("amorlip: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Representation-learning objectives: the ranking NCE loss, the amortized
-maximum-likelihood loss, the gradient-equivalence check between the two
-maximum-likelihood forms, and temperature rescaling with the rho regularizer.
+maximum-likelihood loss, the gradient-equivalence check between the two at
+exact partitions, and temperature rescaling with the rho regularizer.
 
 Sign and scale conventions:
   - The NCE log terms use the SUM over in-batch candidates (standard CLIP),
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amortization import exact_partition
 from .encoders import EmbeddingBatch, scaled_similarity
 from .errors import ContractError, DomainError
 from .numerics import Array, max_relative_discrepancy, row_logsumexp
@@ -120,35 +121,24 @@ def amortized_mle_loss(
 def mle_gradient_equivalence_check(
     emb_a: EmbeddingBatch, emb_b: EmbeddingBatch, tau: float
 ) -> float:
-    """Max relative discrepancy between embedding gradients of the two
-    maximum-likelihood forms:
-
-      (a) sum over modalities of the mean log batch partition, and
-      (b) the same with exp(tau s) divided by the partition held constant.
-
-    The two are algebraically identical (grad log Z = grad Z / Z); the check
-    evaluates both through deliberately different numerical paths.
+    """Max relative discrepancy between the gradients, on both embedding
+    batches and on tau, of the two stage-II losses: nce_loss (logsumexp
+    softmax weights) and amortized_mle_loss with each lambda held at its
+    direction's exact mean-form batch partition (raw exponentials over a
+    constant partition). The two are algebraically identical
+    (grad log Z = grad Z / Z); verify gradcheck checks each loss against
+    finite differences.
     """
-    n, _, ts = scaled_similarity(emb_a, emb_b, tau, min_n=2)
-
-    # path (a): softmax weights via logsumexp, mean-form normalizer cancels
-    lse_rows = row_logsumexp(ts)
-    lse_cols = row_logsumexp(ts.T)
-    d_s_a = (tau / n) * (np.exp(ts - lse_rows[:, None]) + np.exp(ts - lse_cols[None, :]))
-    grad_a_1 = d_s_a @ emb_b.data
-    grad_b_1 = d_s_a.T @ emb_a.data
-
-    # path (b): raw exponentials against frozen mean-form partitions
-    e = np.exp(ts)
-    z_rows = e.mean(axis=1)
-    z_cols = e.mean(axis=0)
-    d_s_b = (tau / (n * n)) * (e / z_rows[:, None] + e / z_cols[None, :])
-    grad_a_2 = d_s_b @ emb_b.data
-    grad_b_2 = d_s_b.T @ emb_a.data
-
+    nce = nce_loss(emb_a, emb_b, tau)
+    mle = amortized_mle_loss(
+        emb_a, emb_b, tau,
+        exact_partition(emb_a, emb_b, tau).log_z_exact,
+        exact_partition(emb_b, emb_a, tau).log_z_exact,
+    )
     return max(
-        max_relative_discrepancy(grad_a_1, grad_a_2),
-        max_relative_discrepancy(grad_b_1, grad_b_2),
+        max_relative_discrepancy(nce.grad_a, mle.grad_a),
+        max_relative_discrepancy(nce.grad_b, mle.grad_b),
+        max_relative_discrepancy(nce.tau_grad, mle.tau_grad),
     )
 
 

@@ -55,6 +55,7 @@ from .encoders import (
 from .errors import (
     ConfigError,
     ContractError,
+    DegenerateInputError,
     DomainError,
     FormatError,
     TrainingDivergence,
@@ -436,7 +437,8 @@ def run_training(
 
     A non-finite loss, a DomainError anywhere in a step (an overflowing
     encoder output, optimizer step, divergence weight or amortizer output),
-    or an update that leaves tau failing usable_tau ends the run with a
+    a DegenerateInputError (an embedding row collapsed to norm 0), or an
+    update that leaves tau failing usable_tau ends the run with a
     TrainingDivergence carrying the step's record; these checks, not numpy
     warnings, report non-finite values. check_run(cfg, ds.n) runs first.
     """
@@ -507,8 +509,9 @@ def run_training(
                 encoder_backward(backwards["b"], rescaled.grad_b)
                 state.temperature.accumulate_tau_grad(rescaled.tau_grad)
                 state.opt_encoder.step()
-            except DomainError as exc:
-                # a numerical failure anywhere in the step, an optimizer overflow included
+            except (DomainError, DegenerateInputError) as exc:
+                # a numerical failure anywhere in the step, an optimizer overflow
+                # or a collapsed embedding included
                 raise diverged(str(exc)) from exc
             state.temperature.clamp()
             if not usable_tau(state.temperature.tau):

@@ -349,9 +349,13 @@ class TestTrain:
         assert "overflow" in message
         assert json.loads(snapshot)["step"] >= 1
 
-    def test_interrupt_exits_130_with_one_line(self, data_path, tmp_path):
-        # a run far longer than the test, stopped by SIGINT once it has
-        # written a metrics line
+    @pytest.mark.parametrize("signum, code, line", [
+        pytest.param(signal.SIGINT, 130, "amorlip: interrupted", id="SIGINT"),
+        pytest.param(signal.SIGTERM, 143, "amorlip: terminated", id="SIGTERM"),
+    ])
+    def test_interrupt_exits_130_with_one_line(self, data_path, tmp_path, signum, code, line):
+        # a run far longer than the test, stopped by the signal once it has
+        # written a metrics line, which stays
         cfg = tmp_path / "long.json"
         cfg.write_text(json.dumps({"epochs": 100_000, "batch_size": 16, "t_online": 2}))
         metrics = tmp_path / "m.jsonl"
@@ -371,13 +375,34 @@ class TestTrain:
                 assert proc.poll() is None, proc.communicate()
                 assert time.monotonic() < deadline, "no metrics line within 60 s"
                 time.sleep(0.01)
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             out, err = proc.communicate(timeout=60)
         finally:
             proc.kill()  # a no-op once the run has exited
-        assert proc.returncode == 130
-        assert err.splitlines() == ["amorlip: interrupted"]
+        assert proc.returncode == code
+        assert err.splitlines() == [line]
         assert out == ""
+        assert json.loads(metrics.read_text().splitlines()[0])["step"] == 1
+
+    def test_sigterm_handler_restored(self):
+        # an in-process caller gets its own SIGTERM handler back
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert main(["verify", "schedules"]) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_main_runs_outside_the_main_thread(self):
+        # a worker thread can set no signal handler; main runs without one
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(["verify", "schedules"])))
+        worker.start()
+        worker.join()
+        assert codes == [0]
 
 
 class TestEval:
@@ -821,6 +846,17 @@ FAILURES = [
                {"step": 2, "epoch": 1, "tau": ANY, "amor_loss": None, "median_abs_log_z_err": None,
                 "stage2_loss_raw": None, "stage2_loss_rescaled": None, "beta_t": 0.8, "rho": -8.0,
                 "gather_count": None}),
+    # lr * weight_decay = 1: step 1's decoupled decay zeroes every decayed
+    # weight, so step 2's embeddings collapse to norm 0 before any loss runs
+    *[config_row(f"train-collapsed-encoder-{method}",
+                 {"method": method, "lr_encoder": 1e-300, "weight_decay": 1e300,
+                  "batch_size": 16, "epochs": 1}, 2,
+                 "amorlip: training diverged: row 0 has norm 0.000e+00 <= 1e-12",
+                 {"step": 2, "epoch": 1, "tau": ANY, "amor_loss": None,
+                  "median_abs_log_z_err": None, "stage2_loss_raw": None,
+                  "stage2_loss_rescaled": None, "beta_t": beta_t, "rho": -8.0,
+                  "gather_count": None})
+      for method, beta_t in [("amorlip", 0.8), ("clip", None)]],
     # a checkpoint packs layer widths as u32; a width below that may still not fit in memory
     config_row("config-f_d-width-beyond-u32", {"f_d": 1e200, "batch_size": 16, "epochs": 1},
                "amorlip: config key 'f_d' gives a layer width of 3.2e+201, but a checkpoint"

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from amorlip import losses
 from amorlip.amortization import exact_partition
 from amorlip.encoders import EmbeddingBatch
 from amorlip.errors import ConfigError, DegenerateInputError, DomainError
@@ -16,6 +18,7 @@ from amorlip.losses import (
 )
 from amorlip.numerics import seeded_rng
 from amorlip.trainer import TrainConfig
+from amorlip.verify import suite_equivalence
 
 
 def unit_batch(rng, n, d):
@@ -148,6 +151,19 @@ class TestGradientEquivalence:
         a = unit_batch(rng, 8, 8)
         b = unit_batch(rng, 8, 8)
         assert mle_gradient_equivalence_check(a, b, 10.0) < 1e-8
+
+    @pytest.mark.parametrize("field", ["tau_grad", "grad_b"])
+    def test_reads_the_production_loss(self, monkeypatch, field):
+        # a relative error of 1e-6 in one gradient of the trainer's amortized
+        # loss must fail both checks: the check runs that loss, not a copy
+        production = losses.amortized_mle_loss
+
+        def skewed(*args):
+            out = production(*args)
+            return dataclasses.replace(out, **{field: getattr(out, field) * (1.0 + 1e-6)})
+
+        monkeypatch.setattr(losses, "amortized_mle_loss", skewed)
+        assert [c["status"] for c in suite_equivalence(batches=2)] == ["fail", "fail"]
 
 
 class TestTemperatureRescale:
